@@ -13,7 +13,6 @@ from .duality import dual
 from .equivalence import equivalent, isomorphic, minimize, normal_form, product
 from .machine import (
     DomainError,
-    MooreMachine,
     ParseError,
     emit_machine,
     format_word,
@@ -21,6 +20,7 @@ from .machine import (
     parse_word,
     run_left,
     run_right,
+    to_dot,
 )
 from .substitution import (
     emit_substitution,
@@ -39,30 +39,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-
-def to_dot(m: MooreMachine) -> str:
-    """Deterministic Graphviz source: nodes labeled name/output, labeled edges,
-    and a point-shaped marker pointing at the initial state."""
-    def ident(name):
-        return '"%s"' % name.replace('"', '\\"')
-
-    lines = [
-        "digraph moore {",
-        "  rankdir=LR;",
-        "  __start [shape=point];",
-        "  __start -> %s;" % ident(m.states[m.initial]),
-    ]
-    for k, name in enumerate(m.states):
-        lines.append('  %s [label="%s/%s"];' % (ident(name), name, m.output_map[k]))
-    for k, name in enumerate(m.states):
-        for j in range(m.input_count):
-            lines.append(
-                '  %s -> %s [label="%s"];'
-                % (ident(name), ident(m.states[m.transition[k][j]]), m.input_label(j))
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _read(path: str) -> str:

@@ -134,15 +134,3 @@ def bidual(m: MooreMachine) -> MooreMachine:
     """Dual of the dual: the minimal machine with the same right behavior as m."""
     return plain(dual(dual(m)))
 
-
-def state_classes(m: MooreMachine) -> tuple[int, ...]:
-    """For each state of trim(m), the bidual state it collapses into.
-
-    Two states get the same class exactly when every dual vector agrees on
-    them, i.e. when they are behaviorally equivalent.
-    """
-    mt = trim(m)
-    d1 = dual(mt)
-    d2 = dual(d1)
-    lookup = {f: k for k, f in enumerate(d2.vectors)}
-    return tuple(lookup[tuple(f[a] for f in d1.vectors)] for a in range(mt.n))

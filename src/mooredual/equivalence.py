@@ -1,11 +1,10 @@
-"""Products, equivalence testing, an independent minimizer, and canonical forms."""
+"""Products, equivalence testing, partition-refinement minimization, and canonical forms."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .duality import bidual
 from .machine import Counterexample, DomainError, MooreMachine, trim
 
 
@@ -146,53 +145,6 @@ def states_equivalent(m: MooreMachine, a, b) -> bool:
     return True
 
 
-def oracle_minimize(m: MooreMachine) -> MooreMachine:
-    """Partition-refinement minimizer, deliberately independent of the duals.
-
-    Trim, split states by output, then refine blocks by successor-block
-    signatures until stable, and return the quotient machine.
-    """
-    mt = trim(m)
-    block = {}
-    seen = {}
-    for s in range(mt.n):
-        key = mt.output_map[s]
-        if key not in seen:
-            seen[key] = len(seen)
-        block[s] = seen[key]
-
-    while True:
-        seen = {}
-        new_block = {}
-        for s in range(mt.n):
-            sig = (block[s],) + tuple(block[t] for t in mt.transition[s])
-            if sig not in seen:
-                seen[sig] = len(seen)
-            new_block[s] = seen[sig]
-        if new_block == block:
-            break
-        block = new_block
-
-    # one representative per block, blocks ordered by lowest member index
-    reps = {}
-    for s in range(mt.n):
-        reps.setdefault(block[s], s)
-    ordered = sorted(reps.values())
-    renumber = {block[rep]: k for k, rep in enumerate(ordered)}
-
-    return MooreMachine(
-        states=tuple(mt.states[rep] for rep in ordered),
-        input_count=mt.input_count,
-        outputs=mt.outputs,
-        transition=tuple(
-            tuple(renumber[block[t]] for t in mt.transition[rep]) for rep in ordered
-        ),
-        output_map=tuple(mt.output_map[rep] for rep in ordered),
-        initial=renumber[block[mt.initial]],
-        input_names=mt.input_names,
-    )
-
-
 def isomorphic(m1: MooreMachine, m2: MooreMachine):
     """The structure-preserving state bijection as a name map, or None.
 
@@ -241,6 +193,51 @@ def normal_form(m: MooreMachine) -> MooreMachine:
     )
 
 
+def state_classes(m: MooreMachine) -> tuple[int, ...]:
+    """For each state of trim(m), the state of minimize(m) it collapses into.
+
+    Moore partition refinement: split states by output, then by the blocks of
+    their successors, until no block splits.  Two states end in the same class
+    exactly when they are behaviorally equivalent.  Every round numbers blocks
+    in order of first appearance, so classes are numbered by their lowest
+    member; since trim orders states breadth-first, that is the breadth-first
+    order of the quotient, which is also the numbering of the bidual.
+    """
+    mt = trim(m)
+    seen = {}
+    block = [seen.setdefault(out, len(seen)) for out in mt.output_map]
+    count = len(seen)
+    while True:
+        seen = {}
+        block = [
+            seen.setdefault((block[s],) + tuple(block[t] for t in row), len(seen))
+            for s, row in enumerate(mt.transition)
+        ]
+        if len(seen) == count:  # refinement only splits, so no block split
+            return tuple(block)
+        count = len(seen)
+
+
 def minimize(m: MooreMachine) -> MooreMachine:
-    """The unique simplest machine equivalent to m, in normal form."""
-    return normal_form(bidual(m))
+    """The unique simplest machine equivalent to m, in normal form.
+
+    The quotient of trim(m) by its state classes.  Their numbering is already
+    the quotient's breadth-first order, so the result equals the normal form
+    of the bidual.
+    """
+    mt = trim(m)
+    classes = state_classes(mt)
+    reps = {}
+    for s, c in enumerate(classes):
+        reps.setdefault(c, s)
+    return MooreMachine(
+        states=tuple(str(c) for c in range(len(reps))),
+        input_count=mt.input_count,
+        outputs=mt.outputs,
+        transition=tuple(
+            tuple(classes[t] for t in mt.transition[s]) for s in reps.values()
+        ),
+        output_map=tuple(mt.output_map[s] for s in reps.values()),
+        initial=classes[mt.initial],
+        input_names=mt.input_names,
+    )

@@ -332,3 +332,27 @@ def emit_machine(m: MooreMachine) -> str:
                 "trans %s %s %s" % (name, m.input_label(j), m.states[m.transition[idx][j]])
             )
     return "\n".join(lines) + "\n"
+
+
+def to_dot(m: MooreMachine) -> str:
+    """Deterministic Graphviz source: nodes labeled name/output, labeled edges,
+    and a point-shaped marker pointing at the initial state."""
+    def ident(name):
+        return '"%s"' % name.replace('"', '\\"')
+
+    lines = [
+        "digraph moore {",
+        "  rankdir=LR;",
+        "  __start [shape=point];",
+        "  __start -> %s;" % ident(m.states[m.initial]),
+    ]
+    for k, name in enumerate(m.states):
+        lines.append('  %s [label="%s/%s"];' % (ident(name), name, m.output_map[k]))
+    for k, name in enumerate(m.states):
+        for j in range(m.input_count):
+            lines.append(
+                '  %s -> %s [label="%s"];'
+                % (ident(name), ident(m.states[m.transition[k][j]]), m.input_label(j))
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

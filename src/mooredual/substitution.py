@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import bidual
+from .equivalence import minimize
 from .machine import (
     DomainError,
     MooreMachine,
     ParseError,
     _meaningful_lines,
     left_action,
-    trim,
 )
 
 SINK_STATE = "ω"    # absorbing padding state; not usable as a letter
@@ -303,7 +302,7 @@ def language_words(pm: PaddedMachine):
         n += 1
 
 
-_psi_cache: dict = {}  # PaddedMachine -> [words found so far, next candidate]
+_psi_cache: dict = {}  # PaddedMachine -> valid words found so far, in rank order
 
 
 def psi(pm: PaddedMachine, n: int, max_candidates: int = 10_000_000):
@@ -320,11 +319,13 @@ def psi(pm: PaddedMachine, n: int, max_candidates: int = 10_000_000):
         if n > 0:
             raise DomainError("rank %d unreachable: base 1 has a single valid word" % n)
         return (0,)
-    entry = _psi_cache.setdefault(pm, [[], 0])
-    found, candidate = entry[0], entry[1]
+    found = _psi_cache.setdefault(pm, [])
+    if n < len(found):
+        return found[n]
+    # resume from the last word kept, so a sweep cut short loses nothing
+    candidate = phi(found[-1], m.input_count) + 1 if found else 0
     while len(found) <= n:
         if candidate >= max_candidates:
-            entry[1] = candidate
             raise DomainError(
                 "rank %d not reached within %d candidates; the valid-word "
                 "language may be finite or too sparse" % (n, max_candidates)
@@ -333,7 +334,6 @@ def psi(pm: PaddedMachine, n: int, max_candidates: int = 10_000_000):
         if left_action(m, w, m.initial) != pm.sink:
             found.append(w)
         candidate += 1
-    entry[1] = candidate
     return found[n]
 
 
@@ -376,13 +376,13 @@ def minimize_substitution(s: Substitution, pad: PaddingSpec | None = None):
     """Merge letters with identical projected behavior.
 
     Returns (substitution, note).  The new alphabet is the set of live
-    classes of the padded machine's bidual; each rule is the class's
+    states of the minimized padded machine; each rule is that state's
     transition row with sink entries dropped.  The projected fixed points of
     the input and the result coincide.
     """
     check_fixed_point(s)
     pm = to_padded_machine(s, pad)
-    b = bidual(trim(pm.machine))
+    b = minimize(pm.machine)
     sink_class = None
     for k, out in enumerate(b.output_map):
         if out == pm.sink_output:

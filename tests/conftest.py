@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from mooredual.duality import dual
 from mooredual.machine import MooreMachine, parse_machine, trim
 
 DATA = Path(__file__).parent / "data"
@@ -38,6 +39,16 @@ def random_machine(rng, max_states=8, max_inputs=3, max_outputs=3):
         initial=rng.randrange(n),
     )
     return trim(m)
+
+
+def bidual_state_classes(m):
+    """The paper's state classes: for each state of trim(m), the bidual state
+    holding its column of dual vectors.  Builds two closure duals."""
+    mt = trim(m)
+    d1 = dual(mt)
+    d2 = dual(d1)
+    lookup = {f: k for k, f in enumerate(d2.vectors)}
+    return tuple(lookup[tuple(f[a] for f in d1.vectors)] for a in range(mt.n))
 
 
 def random_word(rng, q, max_len=20):

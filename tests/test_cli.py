@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from mooredual.cli import run_cli, to_dot
-from mooredual.machine import parse_machine
+import mooredual
+from mooredual.cli import run_cli
+from mooredual.machine import parse_machine, to_dot
 from mooredual.substitution import parse_substitution
 
 from conftest import DATA, read_data, read_golden
@@ -219,3 +225,14 @@ def test_exit_code_domain_error(capsys):
     code, _, err = run(capsys, "subst", "letter", FIB, "-k", "3", "-n", "5")
     assert code == 3
     assert "out of range" in err
+
+
+def test_library_import_leaves_out_the_cli():
+    src = Path(mooredual.__file__).resolve().parent.parent
+    code = "import sys, mooredual; print('argparse' in sys.modules, 'mooredual.cli' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"

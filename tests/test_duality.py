@@ -11,9 +11,8 @@ from mooredual.duality import (
     dual_via_left_definition,
     dual_via_right_definition,
     plain,
-    state_classes,
 )
-from mooredual.equivalence import normal_form
+from mooredual.equivalence import normal_form, state_classes
 from mooredual.machine import DomainError, MooreMachine, run_left, run_right, trim
 
 from conftest import random_machine, random_word

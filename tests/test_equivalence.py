@@ -1,16 +1,19 @@
+import itertools
 import random
+import time
 
 import pytest
 
+from mooredual.cli import run_cli
 from mooredual.duality import bidual, dual, plain
 from mooredual.equivalence import (
     equivalent,
     isomorphic,
     minimize,
     normal_form,
-    oracle_minimize,
     pair_combiner,
     product,
+    state_classes,
     states_equivalent,
 )
 from mooredual.machine import (
@@ -22,7 +25,7 @@ from mooredual.machine import (
     trim,
 )
 
-from conftest import random_machine, random_word, split_state
+from conftest import bidual_state_classes, random_machine, random_word, split_state
 
 
 def rename(m, prefix):
@@ -159,24 +162,11 @@ def test_states_equivalent_paper(paper):
     assert states_equivalent(paper, "a", "a") is True
 
 
-# --- oracle_minimize ---------------------------------------------------------------
+# --- state_classes -----------------------------------------------------------------
 
-def test_oracle_minimize_paper(paper):
-    o = oracle_minimize(paper)
-    assert o.n == 2
-    assert equivalent(paper, o) is True
-
-
-def test_oracle_minimize_constant_output():
-    m = MooreMachine(("p", "q"), 1, ("x",), ((1,), (0,)), ("x", "x"), 0)
-    assert oracle_minimize(m).n == 1
-
-
-def test_oracle_matches_bidual_size():
-    rng = random.Random(23)
-    for _ in range(200):
-        m = random_machine(rng, max_states=7)
-        assert oracle_minimize(m).n == bidual(m).n
+def test_state_classes_match_bidual_oracle(corpus):
+    for m in corpus:
+        assert state_classes(m) == bidual_state_classes(m)
 
 
 # --- isomorphic ----------------------------------------------------------------------
@@ -230,6 +220,54 @@ def test_minimize_paper(paper):
     assert mm.states == ("0", "1")
     assert mm.transition == ((0, 1), (0, 0))
     assert mm.output_map == ("0", "1")
+    assert equivalent(paper, mm) is True
+
+
+def test_minimize_constant_output():
+    m = MooreMachine(("p", "q"), 1, ("x",), ((1,), (0,)), ("x", "x"), 0)
+    assert minimize(m).n == 1
+
+
+def test_minimize_matches_bidual_size():
+    rng = random.Random(23)
+    for _ in range(200):
+        m = random_machine(rng, max_states=7)
+        assert minimize(m).n == bidual(m).n
+
+
+def full_transformation_machine(n):
+    """n states over three letters: an n-cycle, the swap of states 0 and 1,
+    and the merge of state 1 into 0.  They generate every map of the states,
+    so with output 1 on state 0 alone the machine is minimal and its dual has
+    2^n states."""
+    return MooreMachine(
+        states=tuple("s%d" % s for s in range(n)),
+        input_count=3,
+        outputs=("0", "1"),
+        transition=tuple(
+            ((s + 1) % n, {0: 1, 1: 0}.get(s, s), 0 if s == 1 else s) for s in range(n)
+        ),
+        output_map=tuple("1" if s == 0 else "0" for s in range(n)),
+        initial=0,
+    )
+
+
+def test_minimize_machine_with_exponential_dual(tmp_path, capsys):
+    # never build the dual here: it has 2^40 states
+    m = full_transformation_machine(40)
+    path = tmp_path / "m.moore"
+    path.write_text(emit_machine(m), encoding="utf-8")
+    start = time.monotonic()
+    r = minimize(m)
+    code = run_cli(["moore", "minimize", str(path)])
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0
+    assert r.n == 40
+    assert code == 0
+    assert capsys.readouterr().out == emit_machine(r)
+    assert equivalent(m, r) is True
+    for a, b in itertools.combinations(range(r.n), 2):
+        assert states_equivalent(r, a, b) is False
 
 
 def test_minimize_already_minimal(paper):

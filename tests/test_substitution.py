@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from mooredual.duality import bidual, state_classes
-from mooredual.equivalence import equivalent, oracle_minimize
+from mooredual import substitution
+from mooredual.duality import bidual
+from mooredual.equivalence import equivalent, minimize, state_classes
 from mooredual.machine import DomainError, ParseError, left_action, run_left, trim
 from mooredual.substitution import (
     OMEGA,
@@ -226,6 +227,27 @@ def test_psi_matches_language_enumeration(fib):
         assert len(w) == 1 or w[-1] != 0
 
 
+def test_psi_resumes_after_interrupted_sweep(fib, monkeypatch):
+    monkeypatch.setattr(substitution, "_psi_cache", {})
+    real_left_action = substitution.left_action
+    calls = 0
+
+    def interrupted_once(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 50:
+            raise KeyboardInterrupt
+        return real_left_action(*args)
+
+    monkeypatch.setattr(substitution, "left_action", interrupted_once)
+    pm = to_padded_machine(fib)
+    with pytest.raises(KeyboardInterrupt):
+        psi(pm, 199)
+    ranks = [psi(pm, n) for n in range(200)]
+    monkeypatch.undo()
+    assert ranks == list(itertools.islice(language_words(pm), 200))
+
+
 def test_psi_requires_zero_loop(fib):
     pad = PaddingSpec(((OMEGA, SLOT), (SLOT, SLOT)))
     s = Substitution(("a", "b"), (("a",), ("a", "b")), ("0", "1"), ("0", "1"), 0)
@@ -383,4 +405,4 @@ def test_sink_isolation(fib):
 def test_minimized_size_matches_oracle(fib, thue_morse_3, paper_subst):
     for s in (fib, thue_morse_3, paper_subst):
         pm = to_padded_machine(s)
-        assert bidual(pm.machine).n == oracle_minimize(pm.machine).n
+        assert bidual(pm.machine).n == minimize(pm.machine).n
