@@ -164,6 +164,14 @@ def test_states_equivalent_paper(paper):
 
 # --- state_classes -----------------------------------------------------------------
 
+def test_oracle_minimize_paper(paper):
+    # the bidual, the paper's minimal machine, is the oracle minimize is held to
+    o = bidual(paper)
+    assert o.n == 2
+    assert equivalent(paper, o) is True
+    assert bidual_state_classes(paper) == state_classes(paper)
+
+
 def test_state_classes_match_bidual_oracle(corpus):
     for m in corpus:
         assert state_classes(m) == bidual_state_classes(m)
