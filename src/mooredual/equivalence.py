@@ -203,7 +203,11 @@ def state_classes(m: MooreMachine) -> tuple[int, ...]:
     member; since trim orders states breadth-first, that is the breadth-first
     order of the quotient, which is also the numbering of the bidual.
     """
-    mt = trim(m)
+    return _refine(trim(m))
+
+
+def _refine(mt: MooreMachine) -> tuple[int, ...]:
+    """state_classes of an already trimmed machine."""
     seen = {}
     block = [seen.setdefault(out, len(seen)) for out in mt.output_map]
     count = len(seen)
@@ -226,7 +230,7 @@ def minimize(m: MooreMachine) -> MooreMachine:
     of the bidual.
     """
     mt = trim(m)
-    classes = state_classes(mt)
+    classes = _refine(mt)
     reps = {}
     for s, c in enumerate(classes):
         reps.setdefault(c, s)

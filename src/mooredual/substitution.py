@@ -10,7 +10,6 @@ from .machine import (
     MooreMachine,
     ParseError,
     _meaningful_lines,
-    left_action,
 )
 
 SINK_STATE = "ω"    # absorbing padding state; not usable as a letter
@@ -65,7 +64,7 @@ class Substitution:
     @property
     def q(self) -> int:
         """Longest image length; the input base of the associated machine."""
-        return max(len(img) for img in self.rules)
+        return max(map(len, self.rules))
 
     def letter_index(self, a) -> int:
         if isinstance(a, str):
@@ -111,7 +110,7 @@ class PaddingSpec:
             for tok in tpl:
                 if tok not in (SLOT, OMEGA):
                     raise DomainError("bad template token %r for %r" % (tok, a))
-            if sum(1 for tok in tpl if tok == SLOT) != len(img):
+            if tpl.count(SLOT) != len(img):
                 raise DomainError(
                     "template for %r must have exactly %d slots" % (a, len(img))
                 )
@@ -192,6 +191,12 @@ def expand_fixed_point(s: Substitution, n: int, project: bool = False):
 
 # --- machines from substitutions ---------------------------------------------
 
+def _letter_rows(s: Substitution) -> list[list[int]]:
+    """The rules as letter indices: ``rows[a][i]`` is the i-th letter of the image of a."""
+    pos = {a: k for k, a in enumerate(s.alphabet)}
+    return [[pos[b] for b in img] for img in s.rules]
+
+
 def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> PaddedMachine:
     """Machine over the alphabet plus sink; digit j of a padded image drives delta.
 
@@ -203,13 +208,10 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
     pad.validate(s)
     q = s.q
     n = len(s.alphabet)
-    pos = {a: k for k, a in enumerate(s.alphabet)}
-    rows = []
-    for k in range(n):
-        img = iter(s.rules[k])
-        rows.append(
-            tuple(n if tok == OMEGA else pos[next(img)] for tok in pad.templates[k])
-        )
+    rows = [
+        tuple(n if tok == OMEGA else next(img) for tok in tpl)
+        for img, tpl in zip(map(iter, _letter_rows(s)), pad.templates)
+    ]
     rows.append((n,) * q)  # the sink absorbs every digit
     machine = MooreMachine(
         states=s.alphabet + (SINK_STATE,),
@@ -226,36 +228,36 @@ def is_constant_length(s: Substitution) -> bool:
     return all(len(img) == s.q for img in s.rules)
 
 
-def base_digits(n: int, q: int, length: int | None = None) -> tuple[int, ...]:
-    """Base-q digits of n, least significant first; zero-padded if a length is given."""
-    if q < 2:
-        if n != 0:
-            raise DomainError("base-%d digits exist only for 0" % q)
-        digits = []
-    else:
-        digits = []
-        while n:
-            digits.append(n % q)
-            n //= q
-    if length is not None:
-        digits += [0] * (length - len(digits))
-    elif not digits:
-        digits = [0]
-    return tuple(digits)
-
-
 def letter_at_constant(s: Substitution, k: int, a, n: int):
-    """Letter n of the k-th image of letter a, via digit indexing (no expansion)."""
+    """Letter n of the k-th image of letter a, via digit indexing (no expansion).
+
+    The k base-q digits of n pick an image position per step.  The leading
+    zeros follow the first letters of the images, which cycle within |A|
+    steps, so a huge k costs no more than the digits of n.
+    """
     if not is_constant_length(s):
         raise DomainError("substitution is not constant-length")
-    start = s.letter_index(a)
+    state = s.letter_index(a)
     q = s.q
-    if k < 0 or not 0 <= n < q ** k:
+    if k < 0 or not 0 <= n < q ** min(k, n.bit_length()):  # n < q**k
         raise DomainError("index %d out of range for step %d" % (n, k))
-    pm = to_padded_machine(s)
-    word = base_digits(n, q, length=k)
-    # constant length: the sink is unreachable, so this is always a letter
-    return s.alphabet[left_action(pm.machine, word, start)]
+    rows = _letter_rows(s)
+    digits = []  # base q, least significant first
+    while n:
+        n, d = divmod(n, q)
+        digits.append(d)
+    zeros = k - len(digits)
+    seen = []
+    while zeros and state not in seen:
+        seen.append(state)
+        state = rows[state][0]
+        zeros -= 1
+    if zeros:
+        cycle = seen[seen.index(state):]
+        state = cycle[zeros % len(cycle)]
+    for d in reversed(digits):
+        state = rows[state][d]
+    return s.alphabet[state]
 
 
 # --- digit-word numeration ----------------------------------------------------
@@ -273,100 +275,92 @@ def phi(word, q: int) -> int:
     return total
 
 
-def _check_zero_loop(pm: PaddedMachine):
-    m = pm.machine
-    if m.transition[m.initial][0] != m.initial:
-        raise DomainError(
-            "numeration needs digit 0 to fix the initial letter "
-            "(words equal up to trailing zeros must act identically)"
-        )
+def _unrank(rows, start: int, rank: int, limit: int | None = None, sink: int | None = None):
+    """Unrank by count and descent (Dumont-Thomas numeration).
 
-
-def language_words(pm: PaddedMachine):
-    """Digit words not driving the initial letter into the sink, in rank order.
-
-    One word per value of the digit sum: the shortest representative, i.e.
-    the plain base-q digits of 0, 1, 2, ...
+    ``sizes[r][a]`` counts the r-digit strings (most significant digit first)
+    leading from a along ``rows`` without entering ``sink``; as digit 0 fixes
+    ``start``, those from ``start`` in lexicographic order are the numerals in
+    value order.  Counting stops once the count exceeds the rank, at ``limit``
+    digits, or when it stops growing (for good: the language is finite).
+    Returns the last count and, if above the rank, the rank-th string's digits
+    without leading zeros, most significant first, and the state they reach.
     """
-    _check_zero_loop(pm)
-    m = pm.machine
-    if m.input_count == 1:
-        # base 1: every valid word equals "0" up to trailing zeros
-        yield (0,)
-        return
-    n = 0
-    while True:
-        w = base_digits(n, m.input_count)
-        if left_action(m, w, m.initial) != pm.sink:
-            yield w
-        n += 1
+    sizes = [[int(a != sink) for a in range(len(rows))]]
+    while sizes[-1][start] <= rank and (limit is None or len(sizes) <= limit):
+        below, level = sizes[-1], []
+        for row in rows:  # plain loops: twice as fast as sum() on short rows
+            total = 0
+            for b in row:
+                total += below[b]
+            level.append(total)
+        sizes.append(level)
+        if level[start] == below[start]:
+            break
+    count = sizes[-1][start]
+    if count <= rank:
+        return count, None, None
+    digits = []
+    state = start
+    for below in reversed(sizes[:-1]):
+        for d, nxt in enumerate(rows[state]):
+            if rank < below[nxt]:
+                break
+            rank -= below[nxt]
+        digits.append(d)
+        state = nxt
+    return count, digits, state
 
 
-_psi_cache: dict = {}  # PaddedMachine -> valid words found so far, in rank order
-
-
-def psi(pm: PaddedMachine, n: int, max_candidates: int = 10_000_000):
+def psi(pm: PaddedMachine, n: int):
     """The digit word of rank n (from 0) among the valid words.
 
-    Enumeration progress is memoized per machine, so indexing a prefix of the
-    fixed point costs one sweep overall.
+    Found digit by digit from the counts of valid words per state and length,
+    in O(L * |A| * q) for L digits; no rank is unreachable unless the language
+    is finite.
     """
     if n < 0:
         raise DomainError("negative rank")
-    _check_zero_loop(pm)
     m = pm.machine
-    if m.input_count == 1:
-        if n > 0:
-            raise DomainError("rank %d unreachable: base 1 has a single valid word" % n)
-        return (0,)
-    found = _psi_cache.setdefault(pm, [])
-    if n < len(found):
-        return found[n]
-    # resume from the last word kept, so a sweep cut short loses nothing
-    candidate = phi(found[-1], m.input_count) + 1 if found else 0
-    while len(found) <= n:
-        if candidate >= max_candidates:
-            raise DomainError(
-                "rank %d not reached within %d candidates; the valid-word "
-                "language may be finite or too sparse" % (n, max_candidates)
-            )
-        w = base_digits(candidate, m.input_count)
-        if left_action(m, w, m.initial) != pm.sink:
-            found.append(w)
-        candidate += 1
-    return found[n]
+    if m.transition[m.initial][0] != m.initial:
+        raise DomainError("numeration needs digit 0 to fix the initial letter")
+    count, digits, _ = _unrank(m.transition, m.initial, n, sink=pm.sink)
+    if digits is None:
+        raise DomainError("rank %d unreachable: only %d valid words" % (n, count))
+    return tuple(reversed(digits)) or (0,)
 
 
 def fixed_point_lengths(s: Substitution, k: int) -> list[int]:
-    """Lengths of the first k+1 iterates of the start letter, via letter counts."""
-    counts = [0] * len(s.alphabet)
-    counts[s.initial] = 1
-    pos = {a: j for j, a in enumerate(s.alphabet)}
+    """Lengths of the first k+1 iterates of the start letter."""
+    rows = _letter_rows(s)
+    sizes = [1] * len(rows)  # lengths of the r-th images of each letter
     lengths = [1]
     for _ in range(k):
-        nxt = [0] * len(s.alphabet)
-        for a, c in enumerate(counts):
-            if c:
-                for b in s.rules[a]:
-                    nxt[pos[b]] += c
-        counts = nxt
-        lengths.append(sum(counts))
+        sizes = [sum(sizes[b] for b in row) for row in rows]
+        lengths.append(sizes[s.initial])
     return lengths
 
 
-def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int,
-              max_candidates: int = 10_000_000):
-    """Letter j of the k-th iterate of the start letter, via the numeration."""
+def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
+    """Letter j of the k-th iterate of the start letter, via the numeration.
+
+    The letter the padded machine reaches on psi(j), found on the rule rows:
+    padding adds only sink entries, which count no words.  The descent stops
+    at the first iterate longer than j: O(min(k, log j) * |A| * q) when the
+    iterates grow exponentially.
+    """
     check_fixed_point(s)
     if k < 0:
         raise DomainError("negative iteration count")
-    length = fixed_point_lengths(s, k)[k]
-    if not 0 <= j < length:
-        raise DomainError(
-            "index %d out of range for step %d (length %d)" % (j, k, length)
-        )
-    pm = to_padded_machine(s, pad)
-    state = left_action(pm.machine, psi(pm, j, max_candidates), pm.machine.initial)
+    if j < 0:
+        raise DomainError("index %d out of range for step %d" % (j, k))
+    length, _, state = _unrank(_letter_rows(s), s.initial, j, limit=k)
+    if state is None:
+        raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
+    if pad is not None:
+        pad.validate(s)
+        if pad.templates[s.initial][0] != SLOT:
+            raise DomainError("numeration needs digit 0 to fix the initial letter")
     return s.alphabet[state]
 
 

@@ -2,9 +2,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from mooredual.duality import dual
-from mooredual.machine import MooreMachine, parse_machine, trim
+from mooredual.machine import DomainError, MooreMachine, left_action, parse_machine, trim
+
+# Same examples on every run; no per-example deadline on a loaded host.
+settings.register_profile("fixed", derandomize=True, deadline=None)
+settings.load_profile("fixed")
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,6 +54,39 @@ def bidual_state_classes(m):
     d2 = dual(d1)
     lookup = {f: k for k, f in enumerate(d2.vectors)}
     return tuple(lookup[tuple(f[a] for f in d1.vectors)] for a in range(mt.n))
+
+
+def base_digits(n, q):
+    """Base-q digits of n, least significant first: the shortest word of value n."""
+    if q < 2:
+        if n != 0:
+            raise DomainError("base-%d digits exist only for 0" % q)
+        return (0,)
+    digits = []
+    while n:
+        digits.append(n % q)
+        n //= q
+    return tuple(digits) or (0,)
+
+
+def language_words(pm, max_len):
+    """The valid digit words of at most max_len digits, in rank order.
+
+    The definition behind psi: sweep the base-q numerals 0, 1, 2, ... below
+    q**max_len and keep those whose shortest digit word does not drive the
+    initial letter into the sink.  Bounded by length, not by a count of
+    words, since a sparse language spreads few words over many numerals.
+    """
+    m = pm.machine
+    q = m.input_count
+    if q == 1:
+        return [(0,)]  # base 1: every valid word equals "0" up to trailing zeros
+    words = []
+    for n in range(q ** max_len):
+        w = base_digits(n, q)
+        if left_action(m, w, m.initial) != pm.sink:
+            words.append(w)
+    return words
 
 
 def random_word(rng, q, max_len=20):

@@ -8,7 +8,7 @@ import pytest
 import mooredual
 from mooredual.cli import run_cli
 from mooredual.machine import parse_machine, to_dot
-from mooredual.substitution import parse_substitution
+from mooredual.substitution import expand_fixed_point, parse_substitution
 
 from conftest import DATA, read_data, read_golden
 
@@ -146,6 +146,20 @@ def test_subst_letter(capsys):
 def test_subst_letter_constant_start(capsys):
     code, out, _ = run(capsys, "subst", "letter", THREE, "-k", "3", "-n", "5", "--start", "i")
     assert (code, out) == (0, "i\n")
+
+
+def test_subst_letter_long_iterates(capsys):
+    # in range, though the candidate sweep psi once used stopped short of it
+    code, out, _ = run(capsys, "subst", "letter", FIB, "-k", "24", "-n", "121392")
+    s, _ = parse_substitution(read_data("fib.subst"))
+    assert (code, out) == (0, expand_fixed_point(s, 121393)[-1] + "\n")
+    # the descent stops at the first iterate longer than n, whatever k is
+    code, out, _ = run(capsys, "subst", "letter", FIB, "-k", "100000000", "-n", "5")
+    assert (code, out) == (0, "a\n")
+    # constant length: the leading zeros cycle a -> b -> a
+    code, out, _ = run(capsys, "subst", "letter", THREE, "-k", "30000000", "-n", "0",
+                       "--start", "a")
+    assert (code, out) == (0, "a\n")
 
 
 def test_subst_phi(capsys):

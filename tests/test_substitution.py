@@ -1,9 +1,9 @@
-import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mooredual import substitution
 from mooredual.duality import bidual
 from mooredual.equivalence import equivalent, minimize, state_classes
 from mooredual.machine import DomainError, ParseError, left_action, run_left, trim
@@ -15,12 +15,10 @@ from mooredual.substitution import (
     PaddingSpec,
     Substitution,
     apply,
-    base_digits,
     emit_substitution,
     expand_fixed_point,
     fixed_point_lengths,
     is_constant_length,
-    language_words,
     letter_at,
     letter_at_constant,
     minimize_substitution,
@@ -31,7 +29,7 @@ from mooredual.substitution import (
     to_padded_machine,
 )
 
-from conftest import read_data
+from conftest import base_digits, language_words, read_data
 
 
 @pytest.fixture
@@ -186,11 +184,33 @@ def test_letter_at_constant_matches_expansion(paper_subst, thue_morse_3):
                     assert letter_at_constant(s, k, a, n) == expected
 
 
+def test_letter_at_constant_huge_step(paper_subst):
+    # leading zeros follow the first letters of the images: a -> b -> b ...
+    tail = apply(paper_subst, apply(paper_subst, apply(paper_subst, "b")))
+    for n, expected in enumerate(tail):
+        assert letter_at_constant(paper_subst, 10 ** 12, "a", n) == expected
+    # ... and here a -> b -> c -> b -> c ..., a cycle of two after one step
+    s = Substitution(
+        ("a", "b", "c"), (("b", "a"), ("c", "b"), ("b", "c")), ("0",), ("0",) * 3, 0
+    )
+    for k in (10 ** 9, 10 ** 9 + 1):
+        for n in range(8):
+            assert letter_at_constant(s, k, "a", n) == letter_at_constant(s, 4 + k % 2, "a", n)
+
+
 def test_letter_at_constant_rejects(fib, paper_subst):
     with pytest.raises(DomainError, match="constant"):
         letter_at_constant(fib, 2, "a", 0)
     with pytest.raises(DomainError, match="out of range"):
         letter_at_constant(paper_subst, 2, "i", 4)
+    with pytest.raises(DomainError, match="out of range"):
+        letter_at_constant(paper_subst, 2, "i", -1)
+    with pytest.raises(DomainError, match="out of range"):
+        letter_at_constant(paper_subst, -1, "i", 0)
+    unary = Substitution(("a",), (("a",),), ("0",), ("0",), 0)
+    assert letter_at_constant(unary, 5, "a", 0) == "a"
+    with pytest.raises(DomainError, match="out of range"):
+        letter_at_constant(unary, 5, "a", 1)
 
 
 # --- numeration ----------------------------------------------------------------------
@@ -198,7 +218,9 @@ def test_letter_at_constant_rejects(fib, paper_subst):
 def test_base_digits():
     assert base_digits(0, 2) == (0,)
     assert base_digits(5, 2) == (1, 0, 1)
-    assert base_digits(2, 2, length=4) == (0, 1, 0, 0)
+    assert base_digits(0, 1) == (0,)
+    with pytest.raises(DomainError):
+        base_digits(1, 1)
 
 
 def test_phi_examples():
@@ -218,8 +240,9 @@ def test_psi_fibonacci(fib):
 
 def test_psi_matches_language_enumeration(fib):
     pm = to_padded_machine(fib)
-    words = list(itertools.islice(language_words(pm), 30))
-    assert [psi(pm, n) for n in range(30)] == words
+    words = language_words(pm, 8)
+    assert len(words) == fixed_point_lengths(fib, 8)[8]
+    assert [psi(pm, n) for n in range(len(words))] == words
     # ranks are distinct digit-sum values with the shortest representative
     values = [phi(w, 2) for w in words]
     assert values == sorted(set(values))
@@ -227,25 +250,90 @@ def test_psi_matches_language_enumeration(fib):
         assert len(w) == 1 or w[-1] != 0
 
 
-def test_psi_resumes_after_interrupted_sweep(fib, monkeypatch):
-    monkeypatch.setattr(substitution, "_psi_cache", {})
-    real_left_action = substitution.left_action
-    calls = 0
+@st.composite
+def padded_substitutions(draw):
+    """A random substitution with a fixed point at its first letter, and a
+    random padding that keeps a slot first in that letter's template."""
+    size = draw(st.integers(1, 4))
+    letter = st.integers(0, size - 1)
+    rules = [[0] + draw(st.lists(letter, min_size=1, max_size=3))]
+    rules += [draw(st.lists(letter, min_size=1, max_size=3)) for _ in range(size - 1)]
+    q = max(len(img) for img in rules)
+    templates = []
+    for a, img in enumerate(rules):
+        fixed = {0} if a == 0 else set()  # digit 0 must fix the start letter
+        free = len(img) - len(fixed)
+        slots = fixed | draw(st.sets(st.integers(len(fixed), q - 1),
+                                     min_size=free, max_size=free))
+        templates.append(tuple(SLOT if j in slots else OMEGA for j in range(q)))
+    alphabet = tuple("abcd"[:size])
+    s = Substitution(
+        alphabet,
+        tuple(tuple(alphabet[b] for b in img) for img in rules),
+        ("0",),
+        ("0",) * size,
+        0,
+    )
+    return s, PaddingSpec(tuple(templates))
 
-    def interrupted_once(*args):
-        nonlocal calls
-        calls += 1
-        if calls == 50:
-            raise KeyboardInterrupt
-        return real_left_action(*args)
 
-    monkeypatch.setattr(substitution, "left_action", interrupted_once)
+def assert_psi_matches_oracle(pm, max_numerals=500):
+    """psi agrees with the numeral sweep on every word the sweep reaches, and
+    the next rank needs a longer word."""
+    q = pm.machine.input_count
+    max_len = 1
+    while q ** (max_len + 1) <= max_numerals:
+        max_len += 1
+    words = language_words(pm, max_len)
+    assert [psi(pm, n) for n in range(len(words))] == words
+    assert len(psi(pm, len(words))) > max_len
+
+
+def assert_letter_at_matches_oracles(s, pad, max_length=120):
+    """letter_at agrees with direct expansion and with the paper's route, the
+    padded machine run on psi(j), at every index of the longest iterate (up
+    to step 8) within max_length letters."""
+    pm = to_padded_machine(s, pad)
+    lengths = fixed_point_lengths(s, 8)
+    k = max(r for r, length in enumerate(lengths) if length <= max_length)
+    prefix = expand_fixed_point(s, lengths[k])
+    for j, expected in enumerate(prefix):
+        assert letter_at(s, pad, k, j) == expected
+        state = left_action(pm.machine, psi(pm, j), pm.machine.initial)
+        assert s.alphabet[state] == expected
+    with pytest.raises(DomainError, match="out of range"):
+        letter_at(s, pad, k, lengths[k])
+
+
+@pytest.mark.parametrize("name", ["fib.subst", "threeletter.subst"])
+def test_psi_matches_oracle_on_data(name):
+    s, pad = parse_substitution(read_data(name))
+    assert_psi_matches_oracle(to_padded_machine(s, pad), max_numerals=2 ** 14)
+
+
+@given(padded_substitutions())
+def test_psi_matches_oracle_random(subst):
+    s, pad = subst
+    assert_psi_matches_oracle(to_padded_machine(s, pad))
+
+
+@pytest.mark.parametrize("name", ["fib.subst", "threeletter.subst"])
+def test_letter_at_matches_oracles_on_data(name):
+    s, pad = parse_substitution(read_data(name))
+    assert_letter_at_matches_oracles(s, pad)
+
+
+@given(padded_substitutions())
+def test_letter_at_matches_oracles_random(subst):
+    assert_letter_at_matches_oracles(*subst)
+
+
+def test_psi_is_stateless(fib):
     pm = to_padded_machine(fib)
-    with pytest.raises(KeyboardInterrupt):
-        psi(pm, 199)
-    ranks = [psi(pm, n) for n in range(200)]
-    monkeypatch.undo()
-    assert ranks == list(itertools.islice(language_words(pm), 200))
+    words = language_words(pm, 10)
+    ranks = range(len(words))
+    assert [psi(pm, n) for n in reversed(ranks)] == words[::-1]
+    assert [psi(pm, n) for n in ranks] == words
 
 
 def test_psi_requires_zero_loop(fib):
@@ -256,10 +344,14 @@ def test_psi_requires_zero_loop(fib):
         psi(pm, 0)
 
 
-def test_psi_search_bound(fib):
-    pm = to_padded_machine(fib)
-    with pytest.raises(DomainError, match="not reached"):
-        psi(pm, 10 ** 6, max_candidates=100)
+def test_psi_finite_language():
+    # a -> a padded "_w", b -> a b: from a, only zeros avoid the sink
+    s = Substitution(("a", "b"), (("a",), ("a", "b")), ("0", "1"), ("0", "1"), 0)
+    pm = to_padded_machine(s, PaddingSpec(((SLOT, OMEGA), (SLOT, SLOT))))
+    assert language_words(pm, 8) == [(0,)]
+    assert psi(pm, 0) == (0,)
+    with pytest.raises(DomainError, match="unreachable"):
+        psi(pm, 1)
 
 
 def test_trailing_zero_stability(fib):
@@ -284,6 +376,31 @@ def test_letter_at_fibonacci(fib):
     assert letter_at(fib, None, 9, 0) == "a"
     with pytest.raises(DomainError, match="out of range"):
         letter_at(fib, None, 3, 5)
+    with pytest.raises(DomainError, match="out of range"):
+        letter_at(fib, None, 3, -1)
+
+
+def test_letter_at_long_iterates(fib):
+    # the descent stops at the shortest iterate longer than j, and k = 60
+    # has about 2.5 * 10**12 letters, so neither sweeps anything
+    start = time.monotonic()
+    assert letter_at(fib, None, 10 ** 8, 5) == expand_fixed_point(fib, 6)[5]
+    last = fixed_point_lengths(fib, 60)[60] - 1
+    pm = to_padded_machine(fib)
+    assert letter_at(fib, None, 60, last) == "a"  # even iterates end in a
+    assert fib.alphabet[left_action(pm.machine, psi(pm, last), 0)] == "a"
+    assert time.monotonic() - start < 1.0
+
+
+def test_letter_at_checks_padding():
+    s = Substitution(
+        ("a", "b"), (("a", "b"), ("a", "b", "b")), ("0", "1"), ("0", "1"), 0
+    )
+    assert letter_at(s, None, 2, 1) == "b"
+    with pytest.raises(DomainError, match="digit 0"):
+        letter_at(s, PaddingSpec(((OMEGA, SLOT, SLOT), (SLOT, SLOT, SLOT))), 2, 1)
+    with pytest.raises(DomainError, match="slots"):
+        letter_at(s, PaddingSpec(((SLOT, SLOT, SLOT), (SLOT, SLOT, SLOT))), 2, 1)
 
 
 def test_letter_at_matches_expansion(fib):
