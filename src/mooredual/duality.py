@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from .machine import (
     DomainError,
@@ -49,11 +51,11 @@ def act_right_on_function(m: MooreMachine, f, w) -> OutputVector:
     return tuple(f[left_action(m, w, a)] for a in range(m.n))
 
 
-def _close_over(base: MooreMachine, step) -> DualMachine:
-    """Worklist closure of lambda under `step`.
+def _close_over(base: MooreMachine, steps) -> DualMachine:
+    """Worklist closure of lambda under the maps ``steps[j]``, one per letter.
 
     The stack starts with lambda alone; repeatedly the bottom-most element
-    still missing successors gets step(f, j) recorded for every letter j,
+    still missing successors gets steps[j](f) recorded for every letter j,
     with unseen vectors pushed on top.  Terminates: there are at most
     |Delta|^|Q| vectors.
     """
@@ -61,12 +63,10 @@ def _close_over(base: MooreMachine, step) -> DualMachine:
     stack = [start]
     index = {start: 0}
     rows = []
-    pos = 0
-    while pos < len(stack):
-        f = stack[pos]
+    for f in stack:  # the list grows as vectors are discovered
         row = []
-        for j in range(base.input_count):
-            g = step(f, j)
+        for step in steps:
+            g = step(f)
             k = index.get(g)
             if k is None:
                 k = len(stack)
@@ -74,7 +74,6 @@ def _close_over(base: MooreMachine, step) -> DualMachine:
                 stack.append(g)
             row.append(k)
         rows.append(tuple(row))
-        pos += 1
     return DualMachine(
         states=tuple("d%d" % k for k in range(len(stack))),
         input_count=base.input_count,
@@ -96,25 +95,27 @@ def dual(m: MooreMachine) -> DualMachine:
     vice versa.
     """
     mt = trim(m)
-    table = mt.transition
-    n = mt.n
-
-    def step(f, j):
-        return tuple(f[table[a][j]] for a in range(n))
-
-    return _close_over(mt, step)
+    if mt.n == 1:  # itemgetter of a single index returns an item, not a tuple
+        steps = [itemgetter(slice(t, t + 1)) for t in mt.transition[0]]
+    else:  # f -> f . delta(., j), reading column j of the table
+        steps = [itemgetter(*column) for column in zip(*mt.transition)]
+    return _close_over(mt, steps)
 
 
 def dual_via_right_definition(m: MooreMachine) -> DualMachine:
     """Dual built literally from the right-dual equations (successor j.f)."""
     mt = trim(m)
-    return _close_over(mt, lambda f, j: act_left_on_function(mt, (j,), f))
+    return _close_over(
+        mt, [partial(act_left_on_function, mt, (j,)) for j in range(mt.input_count)]
+    )
 
 
 def dual_via_left_definition(m: MooreMachine) -> DualMachine:
     """Dual built literally from the left-dual equations (successor f.j)."""
     mt = trim(m)
-    return _close_over(mt, lambda f, j: act_right_on_function(mt, f, (j,)))
+    return _close_over(
+        mt, [lambda f, w=(j,): act_right_on_function(mt, f, w) for j in range(mt.input_count)]
+    )
 
 
 def plain(m: MooreMachine) -> MooreMachine:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .machine import Counterexample, DomainError, MooreMachine, trim
+from .machine import Counterexample, DomainError, MooreMachine, _reachable, trim
 
 
 @dataclass(frozen=True)
@@ -203,22 +203,23 @@ def state_classes(m: MooreMachine) -> tuple[int, ...]:
     member; since trim orders states breadth-first, that is the breadth-first
     order of the quotient, which is also the numbering of the bidual.
     """
-    return _refine(trim(m))
+    mt = trim(m)
+    return tuple(_refine(mt.transition, mt.output_map))
 
 
-def _refine(mt: MooreMachine) -> tuple[int, ...]:
-    """state_classes of an already trimmed machine."""
+def _refine(rows, outs) -> list[int]:
+    """state_classes of a trimmed machine given by its rows and outputs."""
     seen = {}
-    block = [seen.setdefault(out, len(seen)) for out in mt.output_map]
+    block = [seen.setdefault(out, len(seen)) for out in outs]
     count = len(seen)
     while True:
         seen = {}
+        get = block.__getitem__
         block = [
-            seen.setdefault((block[s],) + tuple(block[t] for t in row), len(seen))
-            for s, row in enumerate(mt.transition)
+            seen.setdefault((b, *map(get, row)), len(seen)) for b, row in zip(block, rows)
         ]
         if len(seen) == count:  # refinement only splits, so no block split
-            return tuple(block)
+            return block
         count = len(seen)
 
 
@@ -229,19 +230,22 @@ def minimize(m: MooreMachine) -> MooreMachine:
     the quotient's breadth-first order, so the result equals the normal form
     of the bidual.
     """
-    mt = trim(m)
-    classes = _refine(mt)
-    reps = {}
-    for s, c in enumerate(classes):
-        reps.setdefault(c, s)
+    # trim(m), without building it as a machine
+    order, remap = _reachable(m)
+    renumber = remap.__getitem__
+    rows = [tuple(map(renumber, m.transition[a])) for a in order]
+    outs = list(map(m.output_map.__getitem__, order))
+    classes = _refine(rows, outs)
+    class_of = classes.__getitem__
+    # One member per class, in class order; every member of a class has its
+    # output and the classes of its successors.
+    members = dict(zip(classes, range(len(classes)))).values()
     return MooreMachine(
-        states=tuple(str(c) for c in range(len(reps))),
-        input_count=mt.input_count,
-        outputs=mt.outputs,
-        transition=tuple(
-            tuple(classes[t] for t in mt.transition[s]) for s in reps.values()
-        ),
-        output_map=tuple(mt.output_map[s] for s in reps.values()),
-        initial=classes[mt.initial],
-        input_names=mt.input_names,
+        states=tuple(map(str, range(len(members)))),
+        input_count=m.input_count,
+        outputs=m.outputs,
+        transition=tuple([tuple(map(class_of, rows[s])) for s in members]),
+        output_map=tuple(map(outs.__getitem__, members)),
+        initial=0,  # trimming puts the initial state first
+        input_names=m.input_names,
     )

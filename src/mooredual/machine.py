@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -109,10 +109,25 @@ def parse_word(text: str, q: int) -> tuple[int, ...]:
     parts = list(text) if (q <= 10 and "," not in text) else [p.strip() for p in text.split(",")]
     word = []
     for p in parts:
-        if not p.isdigit():
+        j = _digit_value(p)
+        if j is None:
             raise DomainError("bad input symbol %r in word" % p)
-        word.append(int(p))
+        word.append(j)
     return validate_word(word, q)
+
+
+def _digit_value(tok: str):
+    """The value of a token of digits, or None.
+
+    Also None for digits int() cannot read: superscripts such as '²', or
+    more digits than the interpreter converts.
+    """
+    if tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
 
 
 def format_word(word, q: int) -> str:
@@ -149,33 +164,36 @@ def run_left(m: MooreMachine, w) -> str:
     return m.output_map[left_action(m, w, m.initial)]
 
 
+def _reachable(m: MooreMachine):
+    """The states reachable from the initial one, in breadth-first order with
+    letters ascending, and the map from each to its position in that order."""
+    order = [m.initial]
+    remap = {m.initial: 0}
+    table = m.transition
+    for a in order:  # the list grows as states are discovered
+        for t in table[a]:
+            if t not in remap:
+                remap[t] = len(order)
+                order.append(t)
+    return order, remap
+
+
 def trim(m: MooreMachine) -> MooreMachine:
     """Drop states unreachable from the initial one.
 
     The new state order is breadth-first discovery order with letters
     ascending; an already-ordered machine is returned unchanged.
     """
-    order = [m.initial]
-    seen = {m.initial}
-    queue = deque(order)
-    while queue:
-        a = queue.popleft()
-        for t in m.transition[a]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
+    order, remap = _reachable(m)
     if order == list(range(m.n)):
         return m
-    remap = {old: new for new, old in enumerate(order)}
+    get = remap.__getitem__
     return MooreMachine(
-        states=tuple(m.states[a] for a in order),
+        states=tuple(map(m.states.__getitem__, order)),
         input_count=m.input_count,
         outputs=m.outputs,
-        transition=tuple(
-            tuple(remap[m.transition[a][j]] for j in range(m.input_count)) for a in order
-        ),
-        output_map=tuple(m.output_map[a] for a in order),
+        transition=tuple([tuple(map(get, m.transition[a])) for a in order]),
+        output_map=tuple(map(m.output_map.__getitem__, order)),
         initial=0,
         input_names=m.input_names,
     )
@@ -185,35 +203,61 @@ def trim(m: MooreMachine) -> MooreMachine:
 
 def _meaningful_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        toks = raw.partition("#")[0].split()
+        if toks:
+            yield lineno, toks
 
 
 def parse_machine(text: str) -> MooreMachine:
-    """Parse .moore text into a validated machine (state order = declaration order)."""
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != ["moore", "v1"]:
-        lineno = lines[0][0] if lines else 1
-        raise ParseError("line %d: expected header 'moore v1'" % lineno)
+    """Parse .moore text into a validated machine (state order = declaration order).
+
+    One pass over the lines collects the declarations and the transitions;
+    one pass over the transitions fills the table.  Errors are reported in
+    a fixed order: the first malformed line, a missing declaration, an
+    unknown output or initial state, the first bad transition line, then
+    the first missing transition.
+    """
+    lines = _meaningful_lines(text)
+    first = next(lines, None)
+    if first is None or first[1] != ["moore", "v1"]:
+        raise ParseError("line %d: expected header 'moore v1'" % (first[0] if first else 1))
 
     q = None
     input_names = None
     outputs = None
-    states = []        # (name, output symbol)
+    names = []         # state names in declaration order
+    outs = []          # output symbol per state
+    out_lines = []     # line of each state
     state_pos = {}
     initial_name = None
-    trans_lines = []
+    trans = []         # (line, ['trans', source, input token, target])
 
-    for lineno, toks in lines[1:]:
-        key, args = toks[0], toks[1:]
-        if key == "inputs":
+    for lineno, toks in lines:
+        key = toks[0]
+        if key == "trans":  # most lines of a machine are transitions
+            if len(toks) != 4:
+                raise ParseError("line %d: expected 'trans <id> <input> <id>'" % lineno)
+            trans.append((lineno, toks))
+        elif key == "state":
+            if len(toks) != 3:
+                raise ParseError("line %d: expected 'state <id> <output>'" % lineno)
+            name = toks[1]
+            if name in state_pos:
+                raise ParseError("line %d: duplicate state %r" % (lineno, name))
+            state_pos[name] = len(names)
+            names.append(name)
+            outs.append(toks[2])
+            out_lines.append(lineno)
+        elif key == "inputs":
             if q is not None:
                 raise ParseError("line %d: duplicate 'inputs' declaration" % lineno)
+            args = toks[1:]
             if not args:
                 raise ParseError("line %d: 'inputs' needs a count or names" % lineno)
             if len(args) == 1 and args[0].isdigit():
-                q = int(args[0])
+                q = _digit_value(args[0])
+                if q is None:
+                    raise ParseError("line %d: unreadable input count" % lineno)
             else:
                 if len(set(args)) != len(args):
                     raise ParseError("line %d: duplicate input name" % lineno)
@@ -224,29 +268,17 @@ def parse_machine(text: str) -> MooreMachine:
         elif key == "outputs":
             if outputs is not None:
                 raise ParseError("line %d: duplicate 'outputs' declaration" % lineno)
-            if not args:
+            if len(toks) == 1:
                 raise ParseError("line %d: 'outputs' needs at least one symbol" % lineno)
-            if len(set(args)) != len(args):
+            outputs = tuple(toks[1:])
+            if len(set(outputs)) != len(outputs):
                 raise ParseError("line %d: duplicate output symbol" % lineno)
-            outputs = tuple(args)
-        elif key == "state":
-            if len(args) != 2:
-                raise ParseError("line %d: expected 'state <id> <output>'" % lineno)
-            name, out = args
-            if name in state_pos:
-                raise ParseError("line %d: duplicate state %r" % (lineno, name))
-            state_pos[name] = len(states)
-            states.append((name, out, lineno))
         elif key == "initial":
-            if len(args) != 1:
+            if len(toks) != 2:
                 raise ParseError("line %d: expected 'initial <id>'" % lineno)
             if initial_name is not None:
                 raise ParseError("line %d: duplicate 'initial' declaration" % lineno)
-            initial_name = (args[0], lineno)
-        elif key == "trans":
-            if len(args) != 3:
-                raise ParseError("line %d: expected 'trans <id> <input> <id>'" % lineno)
-            trans_lines.append((lineno, args))
+            initial_name = (toks[1], lineno)
         else:
             raise ParseError("line %d: unknown directive %r" % (lineno, key))
 
@@ -254,54 +286,61 @@ def parse_machine(text: str) -> MooreMachine:
         raise ParseError("missing 'inputs' declaration")
     if outputs is None:
         raise ParseError("missing 'outputs' declaration")
-    if not states:
+    if not names:
         raise ParseError("no states declared")
     if initial_name is None:
         raise ParseError("missing 'initial' declaration")
 
-    for name, out, lineno in states:
-        if out not in outputs:
+    declared = set(outputs)
+    for out, lineno in zip(outs, out_lines):
+        if out not in declared:
             raise ParseError("line %d: unknown output token %r" % (lineno, out))
     init_name, init_line = initial_name
     if init_name not in state_pos:
         raise ParseError("line %d: unknown state %r" % (init_line, init_name))
 
-    def resolve_input(tok, lineno):
-        if input_names is not None and tok in input_names:
-            return input_names.index(tok)
-        if tok.isdigit() and int(tok) < q:
-            return int(tok)
-        raise ParseError("line %d: unknown input token %r" % (lineno, tok))
-
-    table = {}
-    for lineno, (src, inp, dst) in trans_lines:
-        if src not in state_pos:
+    # Input tokens by name, or the canonical digits of 0..q-1; other digit
+    # tokens such as '01' are read by value.  Bounded by the number of
+    # transition lines, so a huge count allocates nothing of its size.
+    if input_names is not None:
+        token = {name: j for j, name in enumerate(input_names)}
+    else:
+        token = {str(j): j for j in range(min(q, len(trans)))}
+    nq = len(names) * q
+    # A complete table names each of its nq cells once, so has nq lines.
+    # With fewer, some cell is missing; as nq may then be huge, keep only
+    # the cells named.
+    cells = [None] * nq if nq <= len(trans) else defaultdict(lambda: None)
+    for lineno, (_, src, inp, dst) in trans:
+        a = state_pos.get(src)
+        if a is None:
             raise ParseError("line %d: unknown state %r" % (lineno, src))
-        if dst not in state_pos:
+        t = state_pos.get(dst)
+        if t is None:
             raise ParseError("line %d: unknown state %r" % (lineno, dst))
-        j = resolve_input(inp, lineno)
-        key = (state_pos[src], j)
-        if key in table:
+        j = token.get(inp)
+        if j is None:
+            j = _digit_value(inp)
+            if j is None or j >= q:
+                raise ParseError("line %d: unknown input token %r" % (lineno, inp))
+        k = a * q + j
+        if cells[k] is not None:
             raise ParseError("line %d: duplicate transition for %s on %s" % (lineno, src, inp))
-        table[key] = state_pos[dst]
+        cells[k] = t
 
-    rows = []
-    for pos, (name, _, _) in enumerate(states):
-        row = []
-        for j in range(q):
-            if (pos, j) not in table:
-                raise ParseError(
-                    "missing transition for state %r on input %s" % (name, j)
-                )
-            row.append(table[(pos, j)])
-        rows.append(tuple(row))
-
+    if nq > len(trans):
+        # the first cell absent, within len(trans) + 1 probes
+        k = next(k for k in range(nq) if cells[k] is None)
+        raise ParseError(
+            "missing transition for state %r on input %s" % (names[k // q], k % q)
+        )
+    # no duplicate in nq lines: every cell is filled
     return MooreMachine(
-        states=tuple(name for name, _, _ in states),
+        states=tuple(names),
         input_count=q,
         outputs=outputs,
-        transition=tuple(rows),
-        output_map=tuple(out for _, out, _ in states),
+        transition=tuple([tuple(cells[k : k + q]) for k in range(0, nq, q)]),
+        output_map=tuple(outs),
         initial=state_pos[init_name],
         input_names=input_names,
     )
@@ -319,18 +358,18 @@ def emit_machine(m: MooreMachine) -> str:
     else:
         lines.append("inputs %d" % m.input_count)
     lines.append("outputs " + " ".join(m.outputs))
+    states = m.states
     vectors = getattr(m, "vectors", None)
-    for idx, name in enumerate(m.states):
+    for idx, name in enumerate(states):
         line = "state %s %s" % (name, m.output_map[idx])
         if vectors:
             line += "  # vector: " + " ".join(vectors[idx])
         lines.append(line)
-    lines.append("initial %s" % m.states[m.initial])
-    for idx, name in enumerate(m.states):
-        for j in range(m.input_count):
-            lines.append(
-                "trans %s %s %s" % (name, m.input_label(j), m.states[m.transition[idx][j]])
-            )
+    lines.append("initial %s" % states[m.initial])
+    labels = [m.input_label(j) for j in range(m.input_count)]
+    for name, row in zip(states, m.transition):
+        for label, t in zip(labels, row):
+            lines.append("trans %s %s %s" % (name, label, states[t]))
     return "\n".join(lines) + "\n"
 
 

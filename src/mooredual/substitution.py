@@ -275,41 +275,82 @@ def phi(word, q: int) -> int:
     return total
 
 
-def _unrank(rows, start: int, rank: int, limit: int | None = None, sink: int | None = None):
+_KEPT_LEVELS = 4096  # count levels kept whole before keeping only some
+
+
+def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
+            digits: list | None = None):
     """Unrank by count and descent (Dumont-Thomas numeration).
 
-    ``sizes[r][a]`` counts the r-digit strings (most significant digit first)
-    leading from a along ``rows`` without entering ``sink``; as digit 0 fixes
-    ``start``, those from ``start`` in lexicographic order are the numerals in
-    value order.  Counting stops once the count exceeds the rank, at ``limit``
-    digits, or when it stops growing (for good: the language is finite).
-    Returns the last count and, if above the rank, the rank-th string's digits
-    without leading zeros, most significant first, and the state they reach.
+    Level r of the table counts, per state a, the r-digit strings (most
+    significant digit first) leading from a along ``rows`` without entering
+    ``sink``; as digit 0 fixes ``start``, those from ``start`` in
+    lexicographic order are the numerals in value order.  Counting stops once
+    the count exceeds the rank, at ``limit`` digits, or when it stops growing
+    (for good: the language is finite).  Returns the last count and, if above
+    the rank, the state that the rank-th string reaches (else None); its
+    digits without leading zeros, most significant first, are appended to
+    ``digits`` if given.
+
+    Iterates that grow only polynomially need about one level per unit of
+    rank.  So beyond _KEPT_LEVELS levels only every gap-th level is kept,
+    the gap doubling whenever more than max(_KEPT_LEVELS, gap) are kept, and
+    the descent recounts each block of gap levels from its first: for L
+    levels, O(sqrt(L)) levels in memory and at most twice the counting.
     """
-    sizes = [[int(a != sink) for a in range(len(rows))]]
-    while sizes[-1][start] <= rank and (limit is None or len(sizes) <= limit):
-        below, level = sizes[-1], []
-        for row in rows:  # plain loops: twice as fast as sum() on short rows
+    level = [int(a != sink) for a in range(len(rows))]
+    kept, gap, depth = [level], 1, 0  # kept[i] is level i * gap
+    while level[start] <= rank and (limit is None or depth < limit):
+        below, level = level, []
+        # _level_above, inline: a call per level slows short queries by a fifth
+        for row in rows:
             total = 0
             for b in row:
                 total += below[b]
             level.append(total)
-        sizes.append(level)
+        depth += 1
+        if depth % gap == 0:
+            kept.append(level)
+            if len(kept) > _KEPT_LEVELS and len(kept) > gap:
+                del kept[1::2]
+                gap *= 2
         if level[start] == below[start]:
             break
-    count = sizes[-1][start]
+    count = level[start]
     if count <= rank:
-        return count, None, None
-    digits = []
+        return count, None
     state = start
-    for below in reversed(sizes[:-1]):
+    levels = reversed(kept[:depth]) if gap == 1 else _recount(rows, kept, gap, depth)
+    for below in levels:
         for d, nxt in enumerate(rows[state]):
             if rank < below[nxt]:
                 break
             rank -= below[nxt]
-        digits.append(d)
+        if digits is not None:
+            digits.append(d)
         state = nxt
-    return count, digits, state
+    return count, state
+
+
+def _level_above(rows, below):
+    """Counts of (r+1)-digit strings per state from those of r-digit strings."""
+    level = []
+    for row in rows:  # plain loops: twice as fast as sum() on short rows
+        total = 0
+        for b in row:
+            total += below[b]
+        level.append(total)
+    return level
+
+
+def _recount(rows, kept, gap, depth):
+    """Levels depth-1 down to 0, from every gap-th one: each block of gap
+    levels is counted again from the kept level that starts it."""
+    for first in reversed(range(0, depth, gap)):
+        block = [kept[first // gap]]
+        for _ in range(min(gap, depth - first) - 1):
+            block.append(_level_above(rows, block[-1]))
+        yield from reversed(block)
 
 
 def psi(pm: PaddedMachine, n: int):
@@ -324,8 +365,9 @@ def psi(pm: PaddedMachine, n: int):
     m = pm.machine
     if m.transition[m.initial][0] != m.initial:
         raise DomainError("numeration needs digit 0 to fix the initial letter")
-    count, digits, _ = _unrank(m.transition, m.initial, n, sink=pm.sink)
-    if digits is None:
+    digits = []
+    count, state = _unrank(m.transition, m.initial, n, sink=pm.sink, digits=digits)
+    if state is None:
         raise DomainError("rank %d unreachable: only %d valid words" % (n, count))
     return tuple(reversed(digits)) or (0,)
 
@@ -354,7 +396,7 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
         raise DomainError("negative iteration count")
     if j < 0:
         raise DomainError("index %d out of range for step %d" % (j, k))
-    length, _, state = _unrank(_letter_rows(s), s.initial, j, limit=k)
+    length, state = _unrank(_letter_rows(s), s.initial, j, limit=k)
     if state is None:
         raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
     if pad is not None:

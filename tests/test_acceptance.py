@@ -108,7 +108,9 @@ def test_criterion_3_idempotence_and_uniqueness(corpus):
 
 def test_criterion_4_dual_construction_coincidence(corpus):
     for m in corpus:
-        assert dual_via_right_definition(m) == dual_via_left_definition(m)
+        right = dual_via_right_definition(m)
+        assert right == dual_via_left_definition(m)
+        assert dual(m) == right  # the column-lookup closure
     report(4, "right- and left-dual constructions give identical vector machines")
 
 

@@ -141,6 +141,18 @@ def test_dual_definitions_coincide():
         assert r == dual(m)
 
 
+@pytest.mark.parametrize("m", [
+    MooreMachine(("s",), 1, ("a", "b"), ((0,),), ("a",), 0),
+    MooreMachine(("s",), 3, ("a", "b"), ((0, 0, 0),), ("b",), 0),
+    MooreMachine(("s", "x"), 2, ("a", "b"), ((0, 0), (0, 1)), ("a", "b"), 0),  # x unreachable
+])
+def test_dual_of_one_state_machine(m):
+    # one-entry vectors: a one-index column lookup must still give a tuple
+    d = dual(m)
+    assert d.vectors == ((m.output_map[0],),)
+    assert d == dual_via_right_definition(m) == dual_via_left_definition(m)
+
+
 def test_state_classes_paper(paper):
     # i and b merge; a stays alone
     classes = state_classes(paper)

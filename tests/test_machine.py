@@ -230,3 +230,35 @@ def test_trim_preserves_runs(mw):
 def test_emit_parse_fixed_point(m):
     text = emit_machine(m)
     assert emit_machine(parse_machine(text)) == text
+
+
+@st.composite
+def shuffled_texts(draw):
+    """A machine, its emitted text, and the same text with the body lines
+    shuffled (state lines keep their order, which numbers the states), blank
+    and comment lines mixed in, and comments after some lines."""
+    m = draw(machines())
+    if draw(st.booleans()):
+        m = MooreMachine(
+            m.states, m.input_count, m.outputs, m.transition, m.output_map, m.initial,
+            input_names=tuple("in%d" % j for j in range(m.input_count)),
+        )
+    text = emit_machine(m)
+    header, *body = text.splitlines()
+    body = draw(st.permutations(body))
+    states = iter([line for line in text.splitlines() if line.startswith("state ")])
+    body = [next(states) if line.startswith("state ") else line for line in body]
+    noise = st.sampled_from(["", "   ", "# a comment", "\t# indented comment"])
+    lines = [header]
+    for line in body:
+        lines += draw(st.lists(noise, max_size=2))
+        lines.append(line + draw(st.sampled_from(["", " ", "  # note", "#x"])))
+    return m, text, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n# end\n"]))
+
+
+@given(shuffled_texts())
+def test_shuffled_text_round_trip(case):
+    m, text, shuffled = case
+    parsed = parse_machine(shuffled)
+    assert parsed == m
+    assert emit_machine(parsed) == text

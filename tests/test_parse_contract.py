@@ -1,0 +1,248 @@
+"""The .moore parse contract: every ParseError branch of parse_machine with its
+exact message, which error wins when a text has several, and the accepted
+forms (directives in any order, named and digit input tokens, comments)."""
+
+import time
+
+import pytest
+
+from mooredual.cli import run_cli
+from mooredual.machine import DomainError, MooreMachine, ParseError, parse_machine, parse_word
+
+from conftest import DATA
+
+HEAD = "moore v1\ninputs 2\noutputs 0 1\nstate s 0\nstate t 1\ninitial s\n"
+FULL = "trans s 0 s\ntrans s 1 t\ntrans t 0 t\ntrans t 1 s\n"
+
+# (text, the exact ParseError message)
+ERRORS = [
+    # header
+    ("", "line 1: expected header 'moore v1'"),
+    ("# only a comment\n\n", "line 1: expected header 'moore v1'"),
+    ("\n# c\nmealy v1\n", "line 3: expected header 'moore v1'"),
+    ("moore v1 extra\n", "line 1: expected header 'moore v1'"),
+    ("moore\n", "line 1: expected header 'moore v1'"),
+    # per-line directive errors
+    ("moore v1\ninputs 1\ninputs 2\n", "line 3: duplicate 'inputs' declaration"),
+    ("moore v1\ninputs 1\ninputs\n", "line 3: duplicate 'inputs' declaration"),
+    ("moore v1\ninputs\n", "line 2: 'inputs' needs a count or names"),
+    ("moore v1\ninputs a b a\n", "line 2: duplicate input name"),
+    ("moore v1\ninputs 0\n", "line 2: need at least one input"),
+    ("moore v1\ninputs 00\n", "line 2: need at least one input"),
+    ("moore v1\noutputs 0\noutputs 1\n", "line 3: duplicate 'outputs' declaration"),
+    ("moore v1\noutputs\n", "line 2: 'outputs' needs at least one symbol"),
+    ("moore v1\noutputs 0 1 0\n", "line 2: duplicate output symbol"),
+    ("moore v1\nstate s\n", "line 2: expected 'state <id> <output>'"),
+    ("moore v1\nstate s 0 1\n", "line 2: expected 'state <id> <output>'"),
+    ("moore v1\nstate s 0\nstate s 1\n", "line 3: duplicate state 's'"),
+    ("moore v1\ninitial\n", "line 2: expected 'initial <id>'"),
+    ("moore v1\ninitial s\ninitial t u\n", "line 3: expected 'initial <id>'"),
+    ("moore v1\ninitial s\ninitial t\n", "line 3: duplicate 'initial' declaration"),
+    ("moore v1\ntrans s 0\n", "line 2: expected 'trans <id> <input> <id>'"),
+    ("moore v1\ntrans s 0 s s\n", "line 2: expected 'trans <id> <input> <id>'"),
+    ("moore v1\nstart s\n", "line 2: unknown directive 'start'"),
+    ("moore v1\nTRANS s 0 s\n", "line 2: unknown directive 'TRANS'"),
+    # missing declarations
+    ("moore v1\noutputs 0\nstate s 0\ninitial s\n", "missing 'inputs' declaration"),
+    ("moore v1\ninputs 1\nstate s 0\ninitial s\n", "missing 'outputs' declaration"),
+    ("moore v1\ninputs 1\noutputs 0\ninitial s\n", "no states declared"),
+    ("moore v1\ninputs 1\noutputs 0\nstate s 0\n", "missing 'initial' declaration"),
+    # names
+    (HEAD.replace("state t 1", "state t 9"), "line 5: unknown output token '9'"),
+    (HEAD.replace("initial s", "initial z"), "line 6: unknown state 'z'"),
+    (HEAD + FULL.replace("trans t 0 t", "trans z 0 t"), "line 9: unknown state 'z'"),
+    (HEAD + FULL.replace("trans t 0 t", "trans t 0 z"), "line 9: unknown state 'z'"),
+    (HEAD + FULL.replace("trans t 0 t", "trans t 2 t"), "line 9: unknown input token '2'"),
+    (HEAD + FULL.replace("trans t 0 t", "trans t x t"), "line 9: unknown input token 'x'"),
+    (HEAD + FULL.replace("trans t 0 t", "trans t -1 t"), "line 9: unknown input token '-1'"),
+    (HEAD + FULL + "trans t 01 s\n", "line 11: duplicate transition for t on 01"),
+    (HEAD + FULL.replace("trans t 0 t\n", ""), "missing transition for state 't' on input 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", ERRORS)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_machine(text)
+    assert str(info.value) == message
+
+
+# (text, the exact ParseError message): which error is reported first
+PRECEDENCE = [
+    # a malformed line anywhere beats every missing declaration
+    ("moore v1\noutputs 0\nstate s 0\nbogus\n", "line 4: unknown directive 'bogus'"),
+    # missing declarations in the order inputs, outputs, states, initial
+    ("moore v1\nstate s 0\n", "missing 'inputs' declaration"),
+    ("moore v1\ninputs 1\n", "missing 'outputs' declaration"),
+    ("moore v1\ninputs 1\noutputs 0\n", "no states declared"),
+    # a missing declaration beats an unknown output token
+    ("moore v1\ninputs 1\noutputs 0\nstate s 9\n", "missing 'initial' declaration"),
+    # an unknown output token beats an unknown initial state, state order first
+    (
+        "moore v1\ninputs 1\noutputs 0\nstate s 0\nstate t 8\nstate u 9\ninitial z\n",
+        "line 5: unknown output token '8'",
+    ),
+    # an unknown initial state beats every transition error
+    (
+        "moore v1\ninputs 1\noutputs 0\nstate s 0\ninitial z\ntrans y 0 y\n",
+        "line 5: unknown state 'z'",
+    ),
+    # transitions are checked in line order: the source, the target, the
+    # input, then a repeated cell
+    (HEAD + "trans z 9 y\n", "line 7: unknown state 'z'"),
+    (HEAD + "trans s 9 y\n", "line 7: unknown state 'y'"),
+    (HEAD + "trans s 0 s\ntrans s 0 s\ntrans z 0 s\n", "line 8: duplicate transition for s on 0"),
+    (HEAD + "trans s 0 s\ntrans z 0 s\ntrans s 0 s\n", "line 8: unknown state 'z'"),
+    (HEAD + "trans s 0 s\ntrans s 5 s\ntrans s 0 s\n", "line 8: unknown input token '5'"),
+    # a duplicate or unknown-state transition beats a missing one
+    (HEAD + "trans s 0 s\ntrans s 0 t\n", "line 8: duplicate transition for s on 0"),
+    (HEAD + "trans s 0 s\ntrans s 1 z\n", "line 8: unknown state 'z'"),
+    # a missing transition names the first missing input of the first
+    # incomplete state, in declaration order, whatever the line order
+    (HEAD + "trans t 1 s\ntrans s 0 s\n", "missing transition for state 's' on input 1"),
+    (HEAD + "trans s 1 t\ntrans s 0 s\ntrans t 1 s\n", "missing transition for state 't' on input 0"),
+    (HEAD + "trans t 0 s\ntrans s 0 s\ntrans s 1 s\n", "missing transition for state 't' on input 1"),
+    (HEAD, "missing transition for state 's' on input 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", PRECEDENCE)
+def test_parse_error_precedence(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_machine(text)
+    assert str(info.value) == message
+
+
+def test_directives_in_any_order():
+    text = (
+        "moore v1\n"
+        "trans t 1 s\ntrans s 0 s\n"
+        "initial t\n"
+        "trans t 0 t\n"
+        "state s 0\n"
+        "trans s 1 t\n"
+        "outputs 0 1\n"
+        "state t 1\n"
+        "inputs 2\n"
+    )
+    assert parse_machine(text) == MooreMachine(
+        states=("s", "t"),
+        input_count=2,
+        outputs=("0", "1"),
+        transition=((0, 1), (1, 0)),
+        output_map=("0", "1"),
+        initial=1,
+    )
+
+
+def test_named_inputs_and_digit_tokens():
+    text = (
+        "moore v1\ninputs lo hi\noutputs 0 1\nstate s 0\nstate t 1\ninitial s\n"
+        "trans s lo s\ntrans s 01 t\ntrans t 0 t\ntrans t hi s\n"
+    )
+    m = parse_machine(text)
+    assert m.input_names == ("lo", "hi")
+    assert m.transition == ((0, 1), (1, 0))
+
+
+def test_input_names_win_over_digits():
+    # names are looked up first: the input named "1" is input 0
+    text = (
+        "moore v1\ninputs 1 0\noutputs 0 1\nstate s 0\nstate t 1\ninitial s\n"
+        "trans s 1 s\ntrans s 0 t\ntrans t 1 t\ntrans t 0 s\n"
+    )
+    m = parse_machine(text)
+    assert m.input_names == ("1", "0")
+    assert m.transition == ((0, 1), (1, 0))
+
+
+def test_digit_count_with_leading_zeros():
+    text = (
+        "moore v1\ninputs 03\noutputs 0\nstate s 0\ninitial s\n"
+        "trans s 000 s\ntrans s 01 s\ntrans s 2 s\n"
+    )
+    m = parse_machine(text)
+    assert m.input_count == 3 and m.input_names is None
+    assert m.transition == ((0, 0, 0),)
+
+
+def test_mid_line_comments():
+    text = (
+        "moore v1 # header\n"
+        "inputs 2#two\n"
+        "outputs 0 1 # symbols\n"
+        "state s 0#first\n"
+        "state t 1\n"
+        "  # indented comment\n"
+        "initial s #start\n"
+        "trans s 0 s # loop\ntrans s 1 t#\ntrans t 0 t\ntrans t 1 s\t# tab\n"
+    )
+    assert parse_machine(text) == parse_machine(HEAD + FULL)
+
+
+@pytest.mark.parametrize("trans, message", [
+    ("", "missing transition for state 's' on input 0"),
+    ("trans s 0 s\n", "missing transition for state 's' on input 1"),
+    ("trans s 0 s\ntrans s 00 s\n", "line 7: duplicate transition for s on 00"),
+    ("trans s 999999999999 s\ntrans z 0 s\n", "line 7: unknown state 'z'"),
+])
+def test_huge_input_count_fails_fast(trans, message):
+    text = "moore v1\ninputs 1000000000000\noutputs 0\nstate s 0\ninitial s\n" + trans
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_machine(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(info.value) == message
+
+
+def test_huge_input_count_cli(tmp_path, capsys):
+    path = tmp_path / "huge.moore"
+    path.write_text(
+        "moore v1\ninputs 1000000000000\noutputs 0\nstate s 0\ninitial s\ntrans s 0 s\n",
+        encoding="utf-8",
+    )
+    t0 = time.perf_counter()
+    assert run_cli(["moore", "validate", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "missing transition for state 's' on input 1" in capsys.readouterr().err
+
+
+# --- digits int() cannot read: a ParseError or DomainError, never a ValueError
+UNREADABLE = [
+    # '²' passes str.isdigit but not int()
+    ("moore v1\ninputs ²\noutputs 0\nstate s 0\ninitial s\ntrans s 0 s\n",
+     "line 2: unreadable input count"),
+    # more digits than int() converts by default (without that limit, the
+    # count is read and the transitions are missing)
+    ("moore v1\ninputs %s\noutputs 0\nstate s 0\ninitial s\n" % ("1" * 5000,), None),
+    ("moore v1\ninputs 1\noutputs 0\nstate s 0\ninitial s\ntrans s ² s\n",
+     "line 6: unknown input token '²'"),
+    ("moore v1\ninputs 1\noutputs 0\nstate s 0\ninitial s\ntrans s %s s\n" % ("1" * 5000,),
+     "line 6: unknown input token %r" % ("1" * 5000,)),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", UNREADABLE, ids=["superscript-count", "long-count", "superscript-input", "long-input"]
+)
+def test_unreadable_digits_are_parse_errors(text, message, tmp_path, capsys):
+    with pytest.raises(ParseError) as info:
+        parse_machine(text)
+    if message is not None:
+        assert str(info.value) == message
+    path = tmp_path / "m.moore"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["moore", "validate", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "word, q", [("²", 3), ("0,²", 12), ("1" * 5000, 12)], ids=["superscript", "list", "long"]
+)
+def test_unreadable_word_symbols_are_domain_errors(word, q, capsys):
+    with pytest.raises(DomainError, match="bad input symbol"):
+        parse_word(word, q)
+    if q == 3:
+        assert run_cli(["moore", "run", str(DATA / "example.moore"), "--word", word]) == 3
+        assert run_cli(["subst", "phi", str(DATA / "fib.subst"), "--word", word]) == 3
+        assert "bad input symbol" in capsys.readouterr().err

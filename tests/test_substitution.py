@@ -1,9 +1,11 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mooredual import substitution
 from mooredual.duality import bidual
 from mooredual.equivalence import equivalent, minimize, state_classes
 from mooredual.machine import DomainError, ParseError, left_action, run_left, trim
@@ -390,6 +392,36 @@ def test_letter_at_long_iterates(fib):
     assert letter_at(fib, None, 60, last) == "a"  # even iterates end in a
     assert fib.alphabet[left_action(pm.machine, psi(pm, last), 0)] == "a"
     assert time.monotonic() - start < 1.0
+
+
+# sigma^r(a) = a b c b c ... has r + 1 letters, so index j needs j + 1 count
+# levels; the fixed point reads a, then b at odd and c at even indices.
+LINEAR = Substitution(("a", "b", "c"), (("a", "b"), ("c",), ("b",)), ("0",), ("0",) * 3, 0)
+
+
+def test_letter_at_linear_growth_in_bounded_memory():
+    # one count row per level took 41 MB here; the kept levels grow as sqrt(j)
+    tracemalloc.start()
+    try:
+        letter = letter_at(LINEAR, None, 10 ** 9, 3 * 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert letter == "c"
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3])
+def test_unrank_recounts_blocks_exactly(kept, monkeypatch, fib):
+    # keeping only every gap-th count level changes no answer
+    monkeypatch.setattr(substitution, "_KEPT_LEVELS", kept)
+    prefix = expand_fixed_point(LINEAR, 300)
+    assert tuple(letter_at(LINEAR, None, 10 ** 9, j) for j in range(300)) == prefix
+    assert_psi_matches_oracle(to_padded_machine(LINEAR))
+    assert_letter_at_matches_oracles(fib, None)
+    s, pad = parse_substitution(read_data("threeletter.subst"))
+    assert_letter_at_matches_oracles(s, pad)
+    assert_psi_matches_oracle(to_padded_machine(s, pad), max_numerals=2 ** 10)
 
 
 def test_letter_at_checks_padding():
