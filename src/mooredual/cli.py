@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .duality import dual
+from .duality import MAX_DUAL_STATES, dual
 from .equivalence import equivalent, isomorphic, minimize, normal_form, product
 from .machine import (
     DomainError,
@@ -81,6 +81,11 @@ def _moore_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file")
         sp.add_argument("-o", "--output", default=None)
+        if name == "dual":
+            sp.add_argument(
+                "--max-states", type=int, default=MAX_DUAL_STATES,
+                help="give up (exit 3) once the dual has more states (default %(default)s)",
+            )
 
     sp = sub.add_parser("equiv", help="test equivalence of two machines")
     sp.add_argument("file1")
@@ -116,8 +121,10 @@ def _run_moore(args_list) -> int:
 
     if cmd in ("minimize", "dual", "normal", "dot"):
         m = parse_machine(_read(args.file))
-        op = {"minimize": minimize, "dual": dual, "normal": normal_form, "dot": to_dot}[cmd]
-        result = op(m)
+        if cmd == "dual":
+            result = dual(m, args.max_states)
+        else:
+            result = {"minimize": minimize, "normal": normal_form, "dot": to_dot}[cmd](m)
         _write(result if cmd == "dot" else emit_machine(result), args.output)
         return EXIT_OK
 

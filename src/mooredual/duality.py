@@ -16,6 +16,9 @@ from .machine import (
 
 OutputVector = tuple  # one output symbol per state of the base machine
 
+# Default budget of a closure; that many vectors over 40 states take about 150 MB.
+MAX_DUAL_STATES = 2 ** 18
+
 
 @dataclass(frozen=True)
 class DualMachine(MooreMachine):
@@ -51,14 +54,17 @@ def act_right_on_function(m: MooreMachine, f, w) -> OutputVector:
     return tuple(f[left_action(m, w, a)] for a in range(m.n))
 
 
-def _close_over(base: MooreMachine, steps) -> DualMachine:
+def _close_over(base: MooreMachine, steps, max_states: int = MAX_DUAL_STATES) -> DualMachine:
     """Worklist closure of lambda under the maps ``steps[j]``, one per letter.
 
     The stack starts with lambda alone; repeatedly the bottom-most element
     still missing successors gets steps[j](f) recorded for every letter j,
     with unseen vectors pushed on top.  Terminates: there are at most
-    |Delta|^|Q| vectors.
+    |Delta|^|Q| vectors.  Finding more than ``max_states`` of them is a
+    DomainError.
     """
+    if max_states < 1:
+        raise DomainError("the state budget must be at least 1, not %d" % max_states)
     start = tuple(base.output_map)
     stack = [start]
     index = {start: 0}
@@ -70,6 +76,10 @@ def _close_over(base: MooreMachine, steps) -> DualMachine:
             k = index.get(g)
             if k is None:
                 k = len(stack)
+                if k == max_states:
+                    raise DomainError(
+                        "dual reached %d states, over the budget of %d" % (k + 1, max_states)
+                    )
                 index[g] = k
                 stack.append(g)
             row.append(k)
@@ -86,20 +96,21 @@ def _close_over(base: MooreMachine, steps) -> DualMachine:
     )
 
 
-def dual(m: MooreMachine) -> DualMachine:
+def dual(m: MooreMachine, max_states: int = MAX_DUAL_STATES) -> DualMachine:
     """The dual machine: closure of lambda under composition with delta(., j).
 
     The input is trimmed first; unreachable states would only inflate the
     vector coordinates.  The result swaps reading directions: feeding it a
     word on the left gives what the base machine outputs on the right, and
-    vice versa.
+    vice versa.  The dual has up to |Delta|^|Q| states: one with more than
+    ``max_states`` is a DomainError, raised once the closure finds that many.
     """
     mt = trim(m)
     if mt.n == 1:  # itemgetter of a single index returns an item, not a tuple
         steps = [itemgetter(slice(t, t + 1)) for t in mt.transition[0]]
     else:  # f -> f . delta(., j), reading column j of the table
         steps = [itemgetter(*column) for column in zip(*mt.transition)]
-    return _close_over(mt, steps)
+    return _close_over(mt, steps, max_states)
 
 
 def dual_via_right_definition(m: MooreMachine) -> DualMachine:

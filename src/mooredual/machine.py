@@ -346,12 +346,25 @@ def parse_machine(text: str) -> MooreMachine:
     )
 
 
+def _check_tokens(tokens):
+    """Raise DomainError unless every name reads back as one token: nonempty,
+    with no whitespace (line breaks included) and no '#'."""
+    text = "".join(tokens)
+    if "#" in text or "" in tokens or text.split() != [text]:
+        bad = next(t for t in tokens if "#" in t or t.split() != [t])
+        raise DomainError("name %r would not read back as one token" % (bad,))
+
+
 def emit_machine(m: MooreMachine) -> str:
     """Canonical .moore text; re-parsing gives back a structurally equal machine.
 
     Dual machines carry their defining output vectors; those are emitted as
-    '# vector:' comments next to the state lines.
+    '# vector:' comments next to the state lines.  A name that would not read
+    back as itself is a DomainError.
     """
+    _check_tokens(m.states + m.outputs + (m.input_names or ()))
+    if m.input_names and len(m.input_names) == 1 and m.input_names[0].isdigit():
+        raise DomainError("input name %r would read back as a count" % (m.input_names[0],))
     lines = ["moore v1"]
     if m.input_names:
         lines.append("inputs " + " ".join(m.input_names))

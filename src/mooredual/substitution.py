@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .equivalence import minimize
@@ -9,6 +10,7 @@ from .machine import (
     DomainError,
     MooreMachine,
     ParseError,
+    _check_tokens,
     _meaningful_lines,
 )
 
@@ -24,6 +26,11 @@ class Substitution:
     """A free-monoid endomorphism with an output projection and a start letter.
 
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
+    ``q`` is the longest image length, the input base of the associated
+    machine.  Besides ``q``, each instance carries its index data, which
+    equality, hashing and repr ignore: the rules as letter indices and a
+    table of iterate lengths (level r holds |sigma^r(a)| for every letter
+    a), grown by ``letter_at`` up to _KEPT_LEVELS + 1 levels.
     """
 
     alphabet: tuple[str, ...]
@@ -36,7 +43,8 @@ class Substitution:
         n = len(self.alphabet)
         if n < 1:
             raise DomainError("substitution needs at least one letter")
-        if len(set(self.alphabet)) != n:
+        pos = {a: k for k, a in enumerate(self.alphabet)}
+        if len(pos) != n:
             raise DomainError("duplicate letters")
         if SINK_STATE in self.alphabet:
             raise DomainError("letter %r is reserved for the padding sink" % SINK_STATE)
@@ -46,12 +54,11 @@ class Substitution:
             raise DomainError("output %r is reserved for the padding sink" % SINK_OUTPUT)
         if len(self.rules) != n:
             raise DomainError("need one rule per letter")
-        members = set(self.alphabet)
         for a, img in zip(self.alphabet, self.rules):
             if len(img) < 1:
                 raise DomainError("empty image for letter %r" % a)
             for b in img:
-                if b not in members:
+                if b not in pos:
                     raise DomainError("rule for %r uses unknown letter %r" % (a, b))
         if len(self.projection) != n:
             raise DomainError("projection must cover every letter")
@@ -60,11 +67,22 @@ class Substitution:
                 raise DomainError("projection value %r not declared" % (sym,))
         if not 0 <= self.initial < n:
             raise DomainError("initial letter out of range")
+        object.__setattr__(self, "q", max(map(len, self.rules)))
+        # _rows[a][i] is the i-th letter of the image of a, as an index
+        rows = tuple([tuple([pos[b] for b in img]) for img in self.rules])
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_lengths", (((1,) * n,), (1,)))
 
-    @property
-    def q(self) -> int:
-        """Longest image length; the input base of the associated machine."""
-        return max(map(len, self.rules))
+    def _publish_lengths(self, levels):
+        """Make ``levels`` (level 0 first) the table of iterate lengths, with
+        its start-letter column, unless a longer one is already in place.
+
+        The table is never changed in place: a longer one replaces it in one
+        attribute store, so a concurrent reader sees the old or the new.
+        """
+        if len(levels) > len(self._lengths[0]):
+            column = tuple([level[self.initial] for level in levels])
+            object.__setattr__(self, "_lengths", (tuple(levels), column))
 
     def letter_index(self, a) -> int:
         if isinstance(a, str):
@@ -101,16 +119,17 @@ class PaddingSpec:
         )
 
     def validate(self, s: Substitution):
-        q = s.q
         if len(self.templates) != len(s.alphabet):
             raise DomainError("need one padding template per letter")
+        q = s.q
         for a, img, tpl in zip(s.alphabet, s.rules, self.templates):
             if len(tpl) != q:
                 raise DomainError("template for %r must have length %d" % (a, q))
-            for tok in tpl:
-                if tok not in (SLOT, OMEGA):
-                    raise DomainError("bad template token %r for %r" % (tok, a))
-            if tpl.count(SLOT) != len(img):
+            slots = tpl.count(SLOT)  # counts compare like ``in``, and need no hashing
+            if slots + tpl.count(OMEGA) != q:
+                tok = next(tok for tok in tpl if tok not in (SLOT, OMEGA))
+                raise DomainError("bad template token %r for %r" % (tok, a))
+            if slots != len(img):
                 raise DomainError(
                     "template for %r must have exactly %d slots" % (a, len(img))
                 )
@@ -191,12 +210,6 @@ def expand_fixed_point(s: Substitution, n: int, project: bool = False):
 
 # --- machines from substitutions ---------------------------------------------
 
-def _letter_rows(s: Substitution) -> list[list[int]]:
-    """The rules as letter indices: ``rows[a][i]`` is the i-th letter of the image of a."""
-    pos = {a: k for k, a in enumerate(s.alphabet)}
-    return [[pos[b] for b in img] for img in s.rules]
-
-
 def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> PaddedMachine:
     """Machine over the alphabet plus sink; digit j of a padded image drives delta.
 
@@ -210,7 +223,7 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
     n = len(s.alphabet)
     rows = [
         tuple(n if tok == OMEGA else next(img) for tok in tpl)
-        for img, tpl in zip(map(iter, _letter_rows(s)), pad.templates)
+        for img, tpl in zip(map(iter, s._rows), pad.templates)
     ]
     rows.append((n,) * q)  # the sink absorbs every digit
     machine = MooreMachine(
@@ -225,7 +238,7 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
 
 
 def is_constant_length(s: Substitution) -> bool:
-    return all(len(img) == s.q for img in s.rules)
+    return min(map(len, s.rules)) == s.q
 
 
 def letter_at_constant(s: Substitution, k: int, a, n: int):
@@ -241,7 +254,7 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     q = s.q
     if k < 0 or not 0 <= n < q ** min(k, n.bit_length()):  # n < q**k
         raise DomainError("index %d out of range for step %d" % (n, k))
-    rows = _letter_rows(s)
+    rows = s._rows
     digits = []  # base q, least significant first
     while n:
         n, d = divmod(n, q)
@@ -279,7 +292,7 @@ _KEPT_LEVELS = 4096  # count levels kept whole before keeping only some
 
 
 def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
-            digits: list | None = None):
+            digits: list | None = None, levels: list | None = None):
     """Unrank by count and descent (Dumont-Thomas numeration).
 
     Level r of the table counts, per state a, the r-digit strings (most
@@ -292,36 +305,36 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
     digits without leading zeros, most significant first, are appended to
     ``digits`` if given.
 
+    ``levels``, if given, holds the first levels (level 0 first, at most
+    _KEPT_LEVELS + 1 of them, and no deeper than ``limit``): counting goes
+    on from its last, and appends to it while every level is kept.
+
     Iterates that grow only polynomially need about one level per unit of
     rank.  So beyond _KEPT_LEVELS levels only every gap-th level is kept,
     the gap doubling whenever more than max(_KEPT_LEVELS, gap) are kept, and
     the descent recounts each block of gap levels from its first: for L
     levels, O(sqrt(L)) levels in memory and at most twice the counting.
     """
-    level = [int(a != sink) for a in range(len(rows))]
-    kept, gap, depth = [level], 1, 0  # kept[i] is level i * gap
+    if levels is None:
+        levels = [[int(a != sink) for a in range(len(rows))]]
+    kept, gap, depth = levels, 1, len(levels) - 1  # kept[i] is level i * gap
+    level = kept[-1]
     while level[start] <= rank and (limit is None or depth < limit):
-        below, level = level, []
-        # _level_above, inline: a call per level slows short queries by a fifth
-        for row in rows:
-            total = 0
-            for b in row:
-                total += below[b]
-            level.append(total)
+        if len(kept) > _KEPT_LEVELS and len(kept) > gap:
+            kept = kept[::2]  # a new list: ``levels`` keeps every level
+            gap *= 2
+        below, level = level, _level_above(rows, level)
         depth += 1
         if depth % gap == 0:
             kept.append(level)
-            if len(kept) > _KEPT_LEVELS and len(kept) > gap:
-                del kept[1::2]
-                gap *= 2
         if level[start] == below[start]:
             break
     count = level[start]
     if count <= rank:
         return count, None
     state = start
-    levels = reversed(kept[:depth]) if gap == 1 else _recount(rows, kept, gap, depth)
-    for below in levels:
+    descent = reversed(kept[:depth]) if gap == 1 else _recount(rows, kept, gap, depth)
+    for below in descent:
         for d, nxt in enumerate(rows[state]):
             if rank < below[nxt]:
                 break
@@ -373,13 +386,14 @@ def psi(pm: PaddedMachine, n: int):
 
 
 def fixed_point_lengths(s: Substitution, k: int) -> list[int]:
-    """Lengths of the first k+1 iterates of the start letter."""
-    rows = _letter_rows(s)
-    sizes = [1] * len(rows)  # lengths of the r-th images of each letter
-    lengths = [1]
-    for _ in range(k):
-        sizes = [sum(sizes[b] for b in row) for row in rows]
-        lengths.append(sizes[s.initial])
+    """Lengths of the first k+1 iterates of the start letter: read from the
+    substitution's table of iterate lengths, then counted on past it."""
+    levels, lengths = s._lengths
+    lengths = list(lengths[:max(k, 0) + 1])
+    level = levels[len(lengths) - 1]
+    while len(lengths) <= k:  # past the table
+        level = _level_above(s._rows, level)
+        lengths.append(level[s.initial])
     return lengths
 
 
@@ -387,8 +401,10 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     """Letter j of the k-th iterate of the start letter, via the numeration.
 
     The letter the padded machine reaches on psi(j), found on the rule rows:
-    padding adds only sink entries, which count no words.  The descent stops
-    at the first iterate longer than j: O(min(k, log j) * |A| * q) when the
+    padding adds only sink entries, which count no words.  The descent starts
+    at the first iterate longer than j, found by bisection in the
+    substitution's table of iterate lengths (counted on, and the table
+    grown, when it is too short): O(min(k, log j) * |A| * q) when the
     iterates grow exponentially.
     """
     check_fixed_point(s)
@@ -396,7 +412,13 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
         raise DomainError("negative iteration count")
     if j < 0:
         raise DomainError("index %d out of range for step %d" % (j, k))
-    length, state = _unrank(_letter_rows(s), s.initial, j, limit=k)
+    levels, lengths = s._lengths
+    # the first tabled iterate longer than j, if it is at most k
+    r = bisect_right(lengths, j, 0, min(k, len(lengths) - 1))
+    seed = list(levels[:r + 1])
+    length, state = _unrank(s._rows, s.initial, j, limit=k, levels=seed)
+    if len(seed) > len(levels):
+        s._publish_lengths(seed)
     if state is None:
         raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
     if pad is not None:
@@ -603,7 +625,14 @@ def parse_substitution(text: str):
 
 
 def emit_substitution(s: Substitution, pad: PaddingSpec | None = None) -> str:
-    """Canonical .subst text; pad lines appear only for non-default templates."""
+    """Canonical .subst text; pad lines appear only for non-default templates.
+
+    A letter or output that would not read back as itself, or a padding
+    that does not fit the rules, is a DomainError.
+    """
+    _check_tokens(s.alphabet + s.outputs)
+    if pad is not None:
+        pad.validate(s)
     lines = ["subst v1"]
     lines.append("letters " + " ".join(s.alphabet))
     lines.append("outputs " + " ".join(s.outputs))

@@ -56,6 +56,23 @@ def bidual_state_classes(m):
     return tuple(lookup[tuple(f[a] for f in d1.vectors)] for a in range(mt.n))
 
 
+def full_transformation_machine(n):
+    """n states over three letters: an n-cycle, the swap of states 0 and 1,
+    and the merge of state 1 into 0.  They generate every map of the states,
+    so with output 1 on state 0 alone the machine is minimal and its dual has
+    2^n states."""
+    return MooreMachine(
+        states=tuple("s%d" % s for s in range(n)),
+        input_count=3,
+        outputs=("0", "1"),
+        transition=tuple(
+            ((s + 1) % n, {0: 1, 1: 0}.get(s, s), 0 if s == 1 else s) for s in range(n)
+        ),
+        output_map=tuple("1" if s == 0 else "0" for s in range(n)),
+        initial=0,
+    )
+
+
 def base_digits(n, q):
     """Base-q digits of n, least significant first: the shortest word of value n."""
     if q < 2:

@@ -1,16 +1,17 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mooredual
 from mooredual.cli import run_cli
-from mooredual.machine import parse_machine, to_dot
+from mooredual.machine import emit_machine, parse_machine, to_dot
 from mooredual.substitution import expand_fixed_point, parse_substitution
 
-from conftest import DATA, read_data, read_golden
+from conftest import DATA, full_transformation_machine, read_data, read_golden
 
 EXAMPLE = str(DATA / "example.moore")
 EXAMPLE_MIN = str(DATA / "example_min.moore")
@@ -54,6 +55,28 @@ def test_dual_golden(capsys):
     code, out, _ = run(capsys, "moore", "dual", EXAMPLE)
     assert code == 0
     assert out == read_golden("moore_dual_example.txt")
+
+
+def test_dual_max_states(capsys):
+    code, out, _ = run(capsys, "moore", "dual", EXAMPLE, "--max-states", "4")
+    assert code == 0
+    assert out == read_golden("moore_dual_example.txt")
+    code, out, err = run(capsys, "moore", "dual", EXAMPLE, "--max-states", "3")
+    assert code == 3
+    assert out == ""
+    assert "dual reached 4 states, over the budget of 3" in err
+
+
+def test_dual_with_exponential_states_fails_fast(tmp_path, capsys):
+    # the dual has 2^40 states; the default budget stops the closure
+    path = tmp_path / "m.moore"
+    path.write_text(emit_machine(full_transformation_machine(40)), encoding="utf-8")
+    start = time.monotonic()
+    code, out, err = run(capsys, "moore", "dual", str(path))
+    assert time.monotonic() - start < 5.0
+    assert code == 3
+    assert out == ""
+    assert "dual reached 262145 states, over the budget of 262144" in err
 
 
 def test_normal_golden(capsys):
@@ -202,8 +225,6 @@ def test_emitted_machines_reparse(capsys):
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        from mooredual.machine import emit_machine
-
         # comments aside, parse followed by emit is a fixed point
         once = emit_machine(parse_machine(out))
         assert emit_machine(parse_machine(once)) == once

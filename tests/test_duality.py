@@ -75,6 +75,14 @@ def test_dual_one_state():
     assert plain(d) == MooreMachine(("d0",), 3, ("0", "1"), ((0, 0, 0),), ("0",), 0)
 
 
+def test_dual_state_budget(paper):
+    assert dual(paper, max_states=4).n == 4
+    with pytest.raises(DomainError, match="reached 4 states, over the budget of 3"):
+        dual(paper, max_states=3)
+    with pytest.raises(DomainError, match="at least 1"):
+        dual(paper, max_states=0)
+
+
 def test_dual_swaps_reading_direction(paper):
     d = dual(paper)
     rng = random.Random(7)

@@ -25,7 +25,13 @@ from mooredual.machine import (
     trim,
 )
 
-from conftest import bidual_state_classes, random_machine, random_word, split_state
+from conftest import (
+    bidual_state_classes,
+    full_transformation_machine,
+    random_machine,
+    random_word,
+    split_state,
+)
 
 
 def rename(m, prefix):
@@ -241,23 +247,6 @@ def test_minimize_matches_bidual_size():
     for _ in range(200):
         m = random_machine(rng, max_states=7)
         assert minimize(m).n == bidual(m).n
-
-
-def full_transformation_machine(n):
-    """n states over three letters: an n-cycle, the swap of states 0 and 1,
-    and the merge of state 1 into 0.  They generate every map of the states,
-    so with output 1 on state 0 alone the machine is minimal and its dual has
-    2^n states."""
-    return MooreMachine(
-        states=tuple("s%d" % s for s in range(n)),
-        input_count=3,
-        outputs=("0", "1"),
-        transition=tuple(
-            ((s + 1) % n, {0: 1, 1: 0}.get(s, s), 0 if s == 1 else s) for s in range(n)
-        ),
-        output_map=tuple("1" if s == 0 else "0" for s in range(n)),
-        initial=0,
-    )
 
 
 def test_minimize_machine_with_exponential_dual(tmp_path, capsys):

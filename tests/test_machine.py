@@ -262,3 +262,59 @@ def test_shuffled_text_round_trip(case):
     parsed = parse_machine(shuffled)
     assert parsed == m
     assert emit_machine(parsed) == text
+
+
+
+# Names of token characters, digits among them, and names that may also hold
+# '#' and whitespace that splits tokens (space, tab) or lines (newline, the
+# file separator \x1c).
+clean_names = st.text(alphabet="ab5", min_size=1, max_size=3)
+any_names = st.text(alphabet="ab5# \t\n\x1c", max_size=3)
+
+
+@st.composite
+def machines_with_any_names(draw):
+    """A machine from ``machines`` renamed from ``clean_names`` or ``any_names``."""
+    names = draw(st.sampled_from([clean_names, any_names]))
+    m = draw(machines())
+    states = draw(st.lists(names, min_size=m.n, max_size=m.n, unique=True))
+    d = len(m.outputs)
+    outputs = draw(st.lists(names, min_size=d, max_size=d, unique=True))
+    rename = dict(zip(m.outputs, outputs))
+    q = m.input_count
+    input_names = draw(st.none() | st.lists(names, min_size=q, max_size=q, unique=True))
+    return MooreMachine(
+        states=tuple(states),
+        input_count=q,
+        outputs=tuple(outputs),
+        transition=m.transition,
+        output_map=tuple(rename[o] for o in m.output_map),
+        initial=m.initial,
+        input_names=None if input_names is None else tuple(input_names),
+    )
+
+
+@given(machines_with_any_names())
+def test_emit_refuses_or_round_trips(m):
+    try:
+        text = emit_machine(m)
+    except DomainError:
+        return
+    assert parse_machine(text) == m
+
+
+@pytest.mark.parametrize("names", [
+    {"input_names": ("5",)},
+    {"states": ("s t",)},
+    {"states": ("s#",)},
+    {"outputs": ("0 1",)},
+    {"states": ("",)},
+])
+def test_emit_refuses_names_that_do_not_read_back(names):
+    fields = dict(states=("s",), input_count=1, outputs=("0",), transition=((0,),),
+                  output_map=("0",), initial=0, input_names=None)
+    fields.update(names)
+    fields["output_map"] = fields["outputs"]
+    m = MooreMachine(**fields)
+    with pytest.raises(DomainError, match="read back"):
+        emit_machine(m)

@@ -1,4 +1,7 @@
+import copy
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -32,6 +35,11 @@ from mooredual.substitution import (
 )
 
 from conftest import base_digits, language_words, read_data
+
+
+def fresh(s):
+    """An equal substitution whose table of iterate lengths is still empty."""
+    return Substitution(s.alphabet, s.rules, s.outputs, s.projection, s.initial)
 
 
 @pytest.fixture
@@ -95,6 +103,15 @@ def test_parse_pad_template():
     s, pad = parse_substitution(text)
     assert pad.templates == ((SLOT, SLOT), (OMEGA, SLOT))
     assert emit_substitution(s, pad) == text
+
+
+def test_emit_refuses_what_does_not_read_back(fib):
+    with pytest.raises(DomainError, match="read back"):
+        emit_substitution(Substitution(("a b", "c"), (("a b", "c"), ("c",)), ("0",), ("0", "0"), 0))
+    with pytest.raises(DomainError, match="read back"):
+        emit_substitution(Substitution(("a",), (("a", "a"),), ("0#",), ("0#",), 0))
+    with pytest.raises(DomainError, match="bad template token"):
+        emit_substitution(fib, PaddingSpec(((SLOT, SLOT), ("x", SLOT))))
 
 
 def test_reserved_tokens_rejected():
@@ -165,6 +182,22 @@ def test_padded_machine_custom_template(fib):
 def test_padding_template_mismatch(fib):
     with pytest.raises(DomainError):
         to_padded_machine(fib, PaddingSpec(((SLOT, SLOT), (SLOT, SLOT))))
+
+
+@pytest.mark.parametrize("templates, message", [
+    (((SLOT,),), "need one padding template per letter"),
+    (((SLOT, "x", SLOT), (SLOT, "x")), "template for 'a' must have length 2"),
+    (((SLOT, "x"), (SLOT, SLOT, SLOT)), "bad template token 'x' for 'a'"),
+    (((OMEGA, OMEGA), ("x", SLOT)), "template for 'a' must have exactly 2 slots"),
+    (((SLOT, SLOT), (SLOT, "x", "y")), "template for 'b' must have length 2"),
+    (((SLOT, SLOT), (OMEGA, "y")), "bad template token 'y' for 'b'"),
+    (((SLOT, []), (SLOT, OMEGA)), "bad template token [] for 'a'"),
+])
+def test_padding_errors_in_order(fib, templates, message):
+    # per letter in order: length, then tokens, then the slot count
+    with pytest.raises(DomainError) as err:
+        PaddingSpec(templates).validate(fib)
+    assert str(err.value) == message
 
 
 # --- constant-length digit indexing ---------------------------------------------
@@ -400,28 +433,108 @@ LINEAR = Substitution(("a", "b", "c"), (("a", "b"), ("c",), ("b",)), ("0",), ("0
 
 
 def test_letter_at_linear_growth_in_bounded_memory():
-    # one count row per level took 41 MB here; the kept levels grow as sqrt(j)
+    # one count row per level took 41 MB here; the kept levels grow as sqrt(j),
+    # and the table the substitution keeps stops at _KEPT_LEVELS + 1 levels
+    s = fresh(LINEAR)
     tracemalloc.start()
     try:
-        letter = letter_at(LINEAR, None, 10 ** 9, 3 * 10 ** 5)
+        letter = letter_at(s, None, 10 ** 9, 3 * 10 ** 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert letter == "c"
     assert peak < 4 * 2 ** 20
+    assert len(s._lengths[0]) == substitution._KEPT_LEVELS + 1
 
 
 @pytest.mark.parametrize("kept", [1, 2, 3])
-def test_unrank_recounts_blocks_exactly(kept, monkeypatch, fib):
-    # keeping only every gap-th count level changes no answer
+def test_unrank_recounts_blocks_exactly(kept, monkeypatch):
+    # keeping only every gap-th count level changes no answer; fresh
+    # instances, since a table grown before the patch may be longer
     monkeypatch.setattr(substitution, "_KEPT_LEVELS", kept)
-    prefix = expand_fixed_point(LINEAR, 300)
-    assert tuple(letter_at(LINEAR, None, 10 ** 9, j) for j in range(300)) == prefix
-    assert_psi_matches_oracle(to_padded_machine(LINEAR))
-    assert_letter_at_matches_oracles(fib, None)
+    gaps = []
+    recount = substitution._recount
+
+    def counted_recount(rows, levels, gap, depth):
+        gaps.append(gap)
+        return recount(rows, levels, gap, depth)
+
+    monkeypatch.setattr(substitution, "_recount", counted_recount)
+    linear = fresh(LINEAR)
+    prefix = expand_fixed_point(linear, 300)
+    assert tuple(letter_at(linear, None, 10 ** 9, j) for j in range(300)) == prefix
+    assert len(linear._lengths[0]) == kept + 1
+    assert_psi_matches_oracle(to_padded_machine(linear))
+    assert_letter_at_matches_oracles(parse_substitution(read_data("fib.subst"))[0], None)
     s, pad = parse_substitution(read_data("threeletter.subst"))
     assert_letter_at_matches_oracles(s, pad)
     assert_psi_matches_oracle(to_padded_machine(s, pad), max_numerals=2 ** 10)
+    assert gaps and min(gaps) > 1
+
+
+@pytest.mark.parametrize("name, k", [("fib.subst", 12), ("threeletter.subst", 6)])
+def test_letter_at_descending_then_ascending(name, k):
+    # the deepest query grows the table at once, later ones only read it
+    for s in (parse_substitution(read_data(name))[0], fresh(LINEAR)):
+        length = fixed_point_lengths(s, k)[k]
+        prefix = expand_fixed_point(s, length)
+        assert letter_at(s, None, k, 1) == prefix[1]
+        table = s._lengths
+        snapshot = copy.deepcopy(table)
+        assert [letter_at(s, None, k, j) for j in reversed(range(length))] == list(prefix[::-1])
+        grown = s._lengths
+        assert grown is not table and table == snapshot  # replaced, never changed
+        assert [letter_at(s, None, k, j) for j in range(length)] == list(prefix)
+        assert s._lengths is grown
+        with pytest.raises(DomainError, match="length %d" % length):
+            letter_at(s, None, k, length)
+        # a table deeper than k leaves the range of step k as it was
+        shorter = fixed_point_lengths(s, k - 1)[k - 1]
+        with pytest.raises(DomainError, match="length %d" % shorter):
+            letter_at(s, None, k - 1, length - 1)
+
+
+def test_letter_at_threads_share_one_table():
+    # four threads on one fresh substitution, each in its own order, while
+    # the table grows under them a level at a time (LINEAR) or in jumps (fib)
+    fib = parse_substitution(read_data("fib.subst"))[0]
+    for s, k, length in ((fresh(LINEAR), 10 ** 9, 500), (fib, 14, 610)):
+        prefix = expand_fixed_point(s, length)
+        ranks = list(range(length))
+        orders = [ranks, ranks[::-1]] + [random.Random(i).sample(ranks, length) for i in (1, 2)]
+        answers = [None] * len(orders)
+
+        def query(i):
+            answers[i] = [(j, letter_at(s, None, k, j)) for j in orders[i]]
+
+        threads = [threading.Thread(target=query, args=(i,)) for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, got in zip(orders, answers):
+            assert got == [(j, prefix[j]) for j in order]
+        levels, lengths = s._lengths
+        assert lengths == tuple(fixed_point_lengths(fresh(s), len(levels) - 1))
+        assert lengths == tuple(level[s.initial] for level in levels)
+        for below, level in zip(levels, levels[1:]):
+            assert list(level) == substitution._level_above(s._rows, below)
+        assert len(levels) <= substitution._KEPT_LEVELS + 1
+
+
+def test_warm_table_keeps_equality_hash_and_repr():
+    warm, cold = fresh(LINEAR), fresh(LINEAR)
+    assert letter_at(warm, None, 10 ** 9, 500) == "c"
+    assert len(warm._lengths[0]) > len(cold._lengths[0])
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
 
 
 def test_letter_at_checks_padding():
