@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .duality import MAX_DUAL_STATES, dual
+from .duality import MAX_DUAL_STATES, dual_with_vectors
 from .equivalence import equivalent, isomorphic, minimize, normal_form, product
 from .machine import (
     DomainError,
@@ -42,8 +42,15 @@ EXIT_DOMAIN = 3
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; bytes that are not UTF-8 are a ParseError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # lines are numbered as the parsers number them, by str.splitlines
+        line = len((data[: e.start].decode("utf-8") + "\ufffd").splitlines())
+        raise ParseError("line %d: not UTF-8 text (byte 0x%02x)" % (line, data[e.start])) from None
 
 
 def _write(text: str, path: str | None):
@@ -122,10 +129,12 @@ def _run_moore(args_list) -> int:
     if cmd in ("minimize", "dual", "normal", "dot"):
         m = parse_machine(_read(args.file))
         if cmd == "dual":
-            result = dual(m, args.max_states)
+            text = emit_machine(*dual_with_vectors(m, args.max_states))
+        elif cmd == "dot":
+            text = to_dot(m)
         else:
-            result = {"minimize": minimize, "normal": normal_form, "dot": to_dot}[cmd](m)
-        _write(result if cmd == "dot" else emit_machine(result), args.output)
+            text = emit_machine({"minimize": minimize, "normal": normal_form}[cmd](m))
+        _write(text, args.output)
         return EXIT_OK
 
     if cmd == "equiv":

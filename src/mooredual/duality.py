@@ -1,8 +1,11 @@
-"""Duals and biduals: machines whose states are output vectors in Delta^Q."""
+"""Duals and biduals: machines whose states are output vectors in Delta^Q.
+
+A dual is an ordinary MooreMachine; the vector that defines each of its
+states is returned beside it by ``dual_with_vectors``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
@@ -18,18 +21,6 @@ OutputVector = tuple  # one output symbol per state of the base machine
 
 # Default budget of a closure; that many vectors over 40 states take about 150 MB.
 MAX_DUAL_STATES = 2 ** 18
-
-
-@dataclass(frozen=True)
-class DualMachine(MooreMachine):
-    """A machine whose states were discovered as output vectors of a base machine.
-
-    ``vectors[k]`` is the element of Delta^Q defining state k, indexed by the
-    (trimmed) base machine's state positions.  Everything else behaves like a
-    plain MooreMachine.
-    """
-
-    vectors: tuple[OutputVector, ...] = ()
 
 
 def check_vector(m: MooreMachine, f) -> OutputVector:
@@ -54,14 +45,15 @@ def act_right_on_function(m: MooreMachine, f, w) -> OutputVector:
     return tuple(f[left_action(m, w, a)] for a in range(m.n))
 
 
-def _close_over(base: MooreMachine, steps, max_states: int = MAX_DUAL_STATES) -> DualMachine:
+def _close_over(base: MooreMachine, steps, max_states: int = MAX_DUAL_STATES):
     """Worklist closure of lambda under the maps ``steps[j]``, one per letter.
 
     The stack starts with lambda alone; repeatedly the bottom-most element
     still missing successors gets steps[j](f) recorded for every letter j,
     with unseen vectors pushed on top.  Terminates: there are at most
     |Delta|^|Q| vectors.  Finding more than ``max_states`` of them is a
-    DomainError.
+    DomainError.  Returns the machine and its vectors: ``vectors[k]`` is the
+    element of Delta^Q defining state k, indexed by the base machine's states.
     """
     if max_states < 1:
         raise DomainError("the state budget must be at least 1, not %d" % max_states)
@@ -84,7 +76,7 @@ def _close_over(base: MooreMachine, steps, max_states: int = MAX_DUAL_STATES) ->
                 stack.append(g)
             row.append(k)
         rows.append(tuple(row))
-    return DualMachine(
+    machine = MooreMachine(
         states=tuple("d%d" % k for k in range(len(stack))),
         input_count=base.input_count,
         outputs=base.outputs,
@@ -92,15 +84,16 @@ def _close_over(base: MooreMachine, steps, max_states: int = MAX_DUAL_STATES) ->
         output_map=tuple(f[base.initial] for f in stack),
         initial=0,
         input_names=base.input_names,
-        vectors=tuple(stack),
     )
+    return machine, tuple(stack)
 
 
-def dual(m: MooreMachine, max_states: int = MAX_DUAL_STATES) -> DualMachine:
-    """The dual machine: closure of lambda under composition with delta(., j).
+def dual_with_vectors(m: MooreMachine, max_states: int = MAX_DUAL_STATES):
+    """The dual machine and, for each of its states, the output vector defining it.
 
+    The dual is the closure of lambda under composition with delta(., j).
     The input is trimmed first; unreachable states would only inflate the
-    vector coordinates.  The result swaps reading directions: feeding it a
+    vector coordinates.  The dual swaps reading directions: feeding it a
     word on the left gives what the base machine outputs on the right, and
     vice versa.  The dual has up to |Delta|^|Q| states: one with more than
     ``max_states`` is a DomainError, raised once the closure finds that many.
@@ -113,36 +106,28 @@ def dual(m: MooreMachine, max_states: int = MAX_DUAL_STATES) -> DualMachine:
     return _close_over(mt, steps, max_states)
 
 
-def dual_via_right_definition(m: MooreMachine) -> DualMachine:
-    """Dual built literally from the right-dual equations (successor j.f)."""
+def dual(m: MooreMachine, max_states: int = MAX_DUAL_STATES) -> MooreMachine:
+    """The dual machine, without its vectors (see ``dual_with_vectors``)."""
+    return dual_with_vectors(m, max_states)[0]
+
+
+def dual_via_right_definition(m: MooreMachine):
+    """Dual and vectors built literally from the right-dual equations (successor j.f)."""
     mt = trim(m)
     return _close_over(
         mt, [partial(act_left_on_function, mt, (j,)) for j in range(mt.input_count)]
     )
 
 
-def dual_via_left_definition(m: MooreMachine) -> DualMachine:
-    """Dual built literally from the left-dual equations (successor f.j)."""
+def dual_via_left_definition(m: MooreMachine):
+    """Dual and vectors built literally from the left-dual equations (successor f.j)."""
     mt = trim(m)
     return _close_over(
         mt, [lambda f, w=(j,): act_right_on_function(mt, f, w) for j in range(mt.input_count)]
     )
 
 
-def plain(m: MooreMachine) -> MooreMachine:
-    """Strip dual-state metadata, returning an ordinary MooreMachine."""
-    return MooreMachine(
-        states=m.states,
-        input_count=m.input_count,
-        outputs=m.outputs,
-        transition=m.transition,
-        output_map=m.output_map,
-        initial=m.initial,
-        input_names=m.input_names,
-    )
-
-
 def bidual(m: MooreMachine) -> MooreMachine:
     """Dual of the dual: the minimal machine with the same right behavior as m."""
-    return plain(dual(dual(m)))
+    return dual(dual(m))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .machine import Counterexample, DomainError, MooreMachine, _reachable, trim
 
@@ -128,51 +128,27 @@ def equivalent(m1: MooreMachine, m2: MooreMachine):
 
 def states_equivalent(m: MooreMachine, a, b) -> bool:
     """Whether states a and b give equal outputs on every word."""
-    a = m.state_index(a)
-    b = m.state_index(b)
-    start = (a, b)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s, t = queue.popleft()
-        if m.output_map[s] != m.output_map[t]:
-            return False
-        for j in range(m.input_count):
-            p = (m.transition[s][j], m.transition[t][j])
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return True
+    # A product search, not the refinement minimize uses, so the tests can
+    # hold minimize to an independent algorithm.
+    a, b = m.state_index(a), m.state_index(b)
+    return equivalent(replace(m, initial=a), replace(m, initial=b)) is True
 
 
 def isomorphic(m1: MooreMachine, m2: MooreMachine):
     """The structure-preserving state bijection as a name map, or None.
 
-    Both machines must be trimmed; the only candidate is the one induced by
-    matching breadth-first traversals from the initial states, which also has
-    to send initial to initial (otherwise isomorphic machines need not be
-    equivalent).
+    Both machines must be trimmed: one with an unreachable state gives None.
+    The bijection has to send initial to initial (otherwise isomorphic
+    machines need not be equivalent), so it is the one matching the
+    breadth-first orders of trim, and exists exactly when both trimmed
+    tables are equal.
     """
-    if m1.input_count != m2.input_count or m1.n != m2.n:
+    t1, t2 = trim(m1), trim(m2)
+    if t1.n != m1.n or t2.n != m2.n:
         return None
-    fwd = {m1.initial: m2.initial}
-    queue = deque([m1.initial])
-    while queue:
-        a = queue.popleft()
-        b = fwd[a]
-        if m1.output_map[a] != m2.output_map[b]:
-            return None
-        for j in range(m1.input_count):
-            x, y = m1.transition[a][j], m2.transition[b][j]
-            if x in fwd:
-                if fwd[x] != y:
-                    return None
-            else:
-                fwd[x] = y
-                queue.append(x)
-    if len(fwd) != m1.n or len(set(fwd.values())) != m1.n:
+    if (t1.transition, t1.output_map) != (t2.transition, t2.output_map):
         return None
-    return {m1.states[a]: m2.states[b] for a, b in fwd.items()}
+    return dict(zip(t1.states, t2.states))
 
 
 def normal_form(m: MooreMachine) -> MooreMachine:

@@ -355,12 +355,12 @@ def _check_tokens(tokens):
         raise DomainError("name %r would not read back as one token" % (bad,))
 
 
-def emit_machine(m: MooreMachine) -> str:
+def emit_machine(m: MooreMachine, vectors=None) -> str:
     """Canonical .moore text; re-parsing gives back a structurally equal machine.
 
-    Dual machines carry their defining output vectors; those are emitted as
-    '# vector:' comments next to the state lines.  A name that would not read
-    back as itself is a DomainError.
+    Given ``vectors`` (one output vector per state, as ``dual_with_vectors``
+    returns them), each state line gets its vector as a '# vector:' comment.
+    A name that would not read back as itself is a DomainError.
     """
     _check_tokens(m.states + m.outputs + (m.input_names or ()))
     if m.input_names and len(m.input_names) == 1 and m.input_names[0].isdigit():
@@ -372,7 +372,6 @@ def emit_machine(m: MooreMachine) -> str:
         lines.append("inputs %d" % m.input_count)
     lines.append("outputs " + " ".join(m.outputs))
     states = m.states
-    vectors = getattr(m, "vectors", None)
     for idx, name in enumerate(states):
         line = "state %s %s" % (name, m.output_map[idx])
         if vectors:
@@ -386,25 +385,26 @@ def emit_machine(m: MooreMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_string(text: str) -> str:
+    """A DOT quoted string reading back as text: backslashes, then quotes, escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(m: MooreMachine) -> str:
     """Deterministic Graphviz source: nodes labeled name/output, labeled edges,
     and a point-shaped marker pointing at the initial state."""
-    def ident(name):
-        return '"%s"' % name.replace('"', '\\"')
-
+    ident = [_dot_string(name) for name in m.states]
     lines = [
         "digraph moore {",
         "  rankdir=LR;",
         "  __start [shape=point];",
-        "  __start -> %s;" % ident(m.states[m.initial]),
+        "  __start -> %s;" % ident[m.initial],
     ]
     for k, name in enumerate(m.states):
-        lines.append('  %s [label="%s/%s"];' % (ident(name), name, m.output_map[k]))
-    for k, name in enumerate(m.states):
-        for j in range(m.input_count):
-            lines.append(
-                '  %s -> %s [label="%s"];'
-                % (ident(name), ident(m.states[m.transition[k][j]]), m.input_label(j))
-            )
+        lines.append("  %s [label=%s];" % (ident[k], _dot_string(name + "/" + m.output_map[k])))
+    labels = [_dot_string(m.input_label(j)) for j in range(m.input_count)]
+    for k, row in enumerate(m.transition):
+        for label, t in zip(labels, row):
+            lines.append("  %s -> %s [label=%s];" % (ident[k], ident[t], label))
     lines.append("}")
     return "\n".join(lines) + "\n"

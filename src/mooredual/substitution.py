@@ -348,7 +348,7 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
 def _level_above(rows, below):
     """Counts of (r+1)-digit strings per state from those of r-digit strings."""
     level = []
-    for row in rows:  # plain loops: twice as fast as sum() on short rows
+    for row in rows:  # explicit loops: twice as fast as sum() on short rows
         total = 0
         for b in row:
             total += below[b]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from mooredual.duality import dual
+from mooredual.duality import dual_with_vectors
 from mooredual.machine import DomainError, MooreMachine, left_action, parse_machine, trim
 
 # Same examples on every run; no per-example deadline on a loaded host.
@@ -50,10 +50,10 @@ def bidual_state_classes(m):
     """The paper's state classes: for each state of trim(m), the bidual state
     holding its column of dual vectors.  Builds two closure duals."""
     mt = trim(m)
-    d1 = dual(mt)
-    d2 = dual(d1)
-    lookup = {f: k for k, f in enumerate(d2.vectors)}
-    return tuple(lookup[tuple(f[a] for f in d1.vectors)] for a in range(mt.n))
+    d1, vectors1 = dual_with_vectors(mt)
+    _, vectors2 = dual_with_vectors(d1)
+    lookup = {f: k for k, f in enumerate(vectors2)}
+    return tuple(lookup[tuple(f[a] for f in vectors1)] for a in range(mt.n))
 
 
 def full_transformation_machine(n):

@@ -11,6 +11,7 @@ from mooredual.duality import (
     dual,
     dual_via_left_definition,
     dual_via_right_definition,
+    dual_with_vectors,
 )
 from mooredual.equivalence import equivalent, minimize, normal_form
 from mooredual.machine import (
@@ -110,7 +111,7 @@ def test_criterion_4_dual_construction_coincidence(corpus):
     for m in corpus:
         right = dual_via_right_definition(m)
         assert right == dual_via_left_definition(m)
-        assert dual(m) == right  # the column-lookup closure
+        assert dual_with_vectors(m) == right  # the column-lookup closure
     report(4, "right- and left-dual constructions give identical vector machines")
 
 

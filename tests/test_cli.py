@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ import pytest
 
 import mooredual
 from mooredual.cli import run_cli
-from mooredual.machine import emit_machine, parse_machine, to_dot
+from mooredual.machine import MooreMachine, emit_machine, parse_machine, to_dot
 from mooredual.substitution import expand_fixed_point, parse_substitution
 
 from conftest import DATA, full_transformation_machine, read_data, read_golden
@@ -104,6 +105,34 @@ def test_dot_counts(paper):
     text = to_dot(paper)
     assert text.count("[label=") == 3 + 6  # one node each + one edge per (state, input)
     assert "__start" in text
+
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+@pytest.mark.parametrize("states, outputs, inputs", [
+    (('a"b', "a\\"), ("0", "1"), None),
+    (("s", "t"), ('"', "\\"), None),
+    (("s", "t"), ("0", "1"), ('x"', '\\"')),
+    (('"\\', '\\"'), ('\\\\', '""'), ("\\x", 'y"')),
+])
+def test_dot_quotes_every_string(states, outputs, inputs):
+    m = MooreMachine(states, 2, outputs, ((1, 0), (1, 1)), outputs, 0, inputs)
+    text = to_dot(m)
+    # every quote and backslash is inside a well-formed DOT string
+    for line in text.splitlines():
+        rest = DOT_STRING.sub("", line)
+        assert '"' not in rest and "\\" not in rest, line
+    # and each string reads back as the name or label it stands for
+    labels = [m.input_label(j) for j in range(2)]
+    expected = [states[0]]
+    for name, out in zip(states, outputs):
+        expected += [name, name + "/" + out]
+    for name, row in zip(states, m.transition):
+        for label, t in zip(labels, row):
+            expected += [name, states[t], label]
+    found = [re.sub(r"\\(.)", r"\1", q[1:-1]) for q in DOT_STRING.findall(text)]
+    assert found == expected
 
 
 def test_equiv_positive(capsys):

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
+import mooredual
 from mooredual.duality import (
-    DualMachine,
     act_left_on_function,
     act_right_on_function,
     bidual,
     dual,
     dual_via_left_definition,
     dual_via_right_definition,
-    plain,
+    dual_with_vectors,
 )
 from mooredual.equivalence import normal_form, state_classes
 from mooredual.machine import DomainError, MooreMachine, run_left, run_right, trim
@@ -48,9 +48,9 @@ def test_act_domain_mismatch(paper):
 # --- dual -----------------------------------------------------------------------
 
 def test_dual_paper_tables(paper):
-    d = dual(paper)
+    d, vectors = dual_with_vectors(paper)
     assert d.n == 4
-    assert d.vectors == (
+    assert vectors == (
         ("0", "1", "0"),  # t
         ("0", "0", "0"),  # u
         ("1", "0", "1"),  # v
@@ -68,11 +68,36 @@ def test_dual_of_dual_paper(paper):
     assert dd.output_map == ("0", "1")
 
 
+def test_dual_is_a_plain_machine(paper):
+    # a dual equals the MooreMachine with its fields, and so does a bidual
+    assert dual(paper) == MooreMachine(
+        states=("d0", "d1", "d2", "d3"),
+        input_count=2,
+        outputs=("0", "1"),
+        transition=((1, 2), (1, 1), (3, 0), (3, 3)),
+        output_map=("0", "0", "1", "1"),
+        initial=0,
+    )
+    assert type(dual(paper)) is MooreMachine
+    assert type(bidual(paper)) is MooreMachine
+    assert bidual(paper) == dual(dual(paper))
+
+
+def test_public_names():
+    assert "dual_with_vectors" in mooredual.__all__
+    assert "DualMachine" not in mooredual.__all__
+    assert "plain" not in mooredual.__all__
+    assert not hasattr(mooredual, "DualMachine") and not hasattr(mooredual, "plain")
+    for name in mooredual.__all__:
+        assert getattr(mooredual, name) is not None
+    assert len(set(mooredual.__all__)) == len(mooredual.__all__)
+
+
 def test_dual_one_state():
     m = MooreMachine(("s",), 3, ("0", "1"), ((0, 0, 0),), ("0",), 0)
     d = dual(m)
     assert d.n == 1
-    assert plain(d) == MooreMachine(("d0",), 3, ("0", "1"), ((0, 0, 0),), ("0",), 0)
+    assert d == MooreMachine(("d0",), 3, ("0", "1"), ((0, 0, 0),), ("0",), 0)
 
 
 def test_dual_state_budget(paper):
@@ -93,10 +118,10 @@ def test_dual_swaps_reading_direction(paper):
 
 
 def test_dual_initial_vector_is_lambda(paper):
-    d = dual(paper)
-    assert d.vectors[d.initial] == lam(paper)
+    d, vectors = dual_with_vectors(paper)
+    assert vectors[d.initial] == lam(paper)
     # the dual's output of each state is its vector at the base initial state
-    for k, f in enumerate(d.vectors):
+    for k, f in enumerate(vectors):
         assert d.output_map[k] == f[trim(paper).initial]
 
 
@@ -105,7 +130,7 @@ def test_dual_initial_vector_is_lambda(paper):
 def test_bidual_paper(paper):
     b = bidual(paper)
     assert b.n == 2
-    assert not isinstance(b, DualMachine)
+    assert type(b) is MooreMachine
     assert b.transition == ((0, 1), (0, 0))
     assert b.output_map == ("0", "1")
 
@@ -146,7 +171,7 @@ def test_dual_definitions_coincide():
         r = dual_via_right_definition(m)
         l = dual_via_left_definition(m)
         assert r == l
-        assert r == dual(m)
+        assert r == dual_with_vectors(m)
 
 
 @pytest.mark.parametrize("m", [
@@ -156,9 +181,9 @@ def test_dual_definitions_coincide():
 ])
 def test_dual_of_one_state_machine(m):
     # one-entry vectors: a one-index column lookup must still give a tuple
-    d = dual(m)
-    assert d.vectors == ((m.output_map[0],),)
-    assert d == dual_via_right_definition(m) == dual_via_left_definition(m)
+    d, vectors = dual_with_vectors(m)
+    assert vectors == ((m.output_map[0],),)
+    assert (d, vectors) == dual_via_right_definition(m) == dual_via_left_definition(m)
 
 
 def test_state_classes_paper(paper):

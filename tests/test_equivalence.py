@@ -5,7 +5,7 @@ import time
 import pytest
 
 from mooredual.cli import run_cli
-from mooredual.duality import bidual, dual, plain
+from mooredual.duality import bidual, dual
 from mooredual.equivalence import (
     equivalent,
     isomorphic,
@@ -127,7 +127,7 @@ def test_equivalent_root_mismatch(paper):
 
 def test_equivalent_paper_vs_dual(paper):
     # the dual swaps reading direction, not outputs; shortest mismatch is "01"
-    ce = equivalent(paper, plain(dual(paper)))
+    ce = equivalent(paper, dual(paper))
     assert isinstance(ce, Counterexample)
     assert ce.word == (0, 1)
     assert (ce.left_output, ce.right_output) == ("1", "0")
@@ -212,8 +212,24 @@ def test_isomorphic_implies_equivalent():
     for _ in range(50):
         m = random_machine(rng, max_states=6)
         other = shuffle_states(m, rng)
-        assert isomorphic(m, other) is not None
+        assert isomorphic(m, other) == {name: name for name in m.states}
         assert equivalent(m, other) is True
+
+
+def test_isomorphic_unreachable_state(paper):
+    # the same reachable part, plus a state nothing reaches
+    extra = MooreMachine(
+        states=paper.states + ("x",),
+        input_count=2,
+        outputs=paper.outputs,
+        transition=paper.transition + ((0, 0),),
+        output_map=paper.output_map + ("0",),
+        initial=0,
+    )
+    assert isomorphic(paper, paper) == {"i": "i", "a": "a", "b": "b"}
+    assert isomorphic(paper, extra) is None
+    assert isomorphic(extra, paper) is None
+    assert isomorphic(extra, extra) is None
 
 
 # --- normal_form and minimize -----------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The .moore parse contract: every ParseError branch of parse_machine with its
-exact message, which error wins when a text has several, and the accepted
-forms (directives in any order, named and digit input tokens, comments)."""
+"""The .moore and .subst parse contracts: every ParseError branch of
+parse_machine and parse_substitution with its exact message, which error wins
+when a text has several, and the accepted forms (directives in any order,
+named and digit input tokens, comments)."""
 
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from mooredual.cli import run_cli
 from mooredual.machine import DomainError, MooreMachine, ParseError, parse_machine, parse_word
+from mooredual.substitution import parse_substitution
 
 from conftest import DATA
 
@@ -246,3 +248,152 @@ def test_unreadable_word_symbols_are_domain_errors(word, q, capsys):
         assert run_cli(["moore", "run", str(DATA / "example.moore"), "--word", word]) == 3
         assert run_cli(["subst", "phi", str(DATA / "fib.subst"), "--word", word]) == 3
         assert "bad input symbol" in capsys.readouterr().err
+
+
+# --- .subst ------------------------------------------------------------------------
+
+SHEAD = "subst v1\nletters a b\noutputs 0 1\ninitial a\n"
+SBODY = "rule a -> a b\nrule b -> a\nout a 0\nout b 1\n"
+
+# (text, the exact ParseError message)
+SUBST_ERRORS = [
+    # header
+    ("", "line 1: expected header 'subst v1'"),
+    ("# only a comment\n\n", "line 1: expected header 'subst v1'"),
+    ("\n# c\nmoore v1\n", "line 3: expected header 'subst v1'"),
+    ("subst v1 extra\n", "line 1: expected header 'subst v1'"),
+    # per-line directive errors
+    ("subst v1\nletters a\nletters b\n", "line 3: duplicate 'letters' declaration"),
+    ("subst v1\nletters a\nletters\n", "line 3: duplicate 'letters' declaration"),
+    ("subst v1\nletters\n", "line 2: 'letters' needs at least one id"),
+    ("subst v1\nletters a b a\n", "line 2: duplicate letter"),
+    ("subst v1\noutputs 0\noutputs 1\n", "line 3: duplicate 'outputs' declaration"),
+    ("subst v1\noutputs\n", "line 2: 'outputs' needs at least one symbol"),
+    ("subst v1\ninitial\n", "line 2: expected 'initial <id>'"),
+    ("subst v1\ninitial a\ninitial b c\n", "line 3: expected 'initial <id>'"),
+    ("subst v1\ninitial a\ninitial b\n", "line 3: duplicate 'initial' declaration"),
+    ("subst v1\nrule a -> \n", "line 2: expected 'rule <id> -> <id> ...'"),
+    ("subst v1\nrule a = b\n", "line 2: expected 'rule <id> -> <id> ...'"),
+    ("subst v1\nrule a -> a\nrule a -> b\n", "line 3: duplicate rule for 'a'"),
+    ("subst v1\nout a\n", "line 2: expected 'out <id> <sym>'"),
+    ("subst v1\nout a 0 1\n", "line 2: expected 'out <id> <sym>'"),
+    ("subst v1\nout a 0\nout a 1\n", "line 3: duplicate 'out' for 'a'"),
+    ("subst v1\npad a\n", "line 2: expected 'pad <id> <template>'"),
+    ("subst v1\npad a _w\npad a w_\n", "line 3: duplicate 'pad' for 'a'"),
+    ("subst v1\nRULE a -> a\n", "line 2: unknown directive 'RULE'"),
+    # missing declarations
+    ("subst v1\noutputs 0\ninitial a\n", "missing 'letters' declaration"),
+    ("subst v1\nletters a\ninitial a\n", "missing 'outputs' declaration"),
+    ("subst v1\nletters a\noutputs 0\n", "missing 'initial' declaration"),
+    # names
+    (SHEAD + SBODY + "rule c -> a\n", "line 9: rule for undeclared letter 'c'"),
+    (SHEAD + SBODY.replace("rule b -> a", "rule b -> c"),
+     "line 6: rule uses undeclared letter 'c'"),
+    (SHEAD + SBODY.replace("rule b -> a\n", ""), "missing rule for letter 'b'"),
+    (SHEAD + SBODY + "out c 0\n", "line 9: 'out' for undeclared letter 'c'"),
+    (SHEAD + SBODY.replace("out b 1", "out b 2"), "line 8: unknown output token '2'"),
+    (SHEAD + SBODY.replace("out b 1\n", ""), "missing 'out' line for letter 'b'"),
+    (SHEAD.replace("initial a", "initial c") + SBODY, "line 4: unknown letter 'c'"),
+    # reserved names and repeated outputs, from the Substitution itself: no line
+    (
+        "subst v1\nletters a ω\noutputs 0\ninitial a\nrule a -> ω\nrule ω -> a\n"
+        "out a 0\nout ω 0\n",
+        "letter 'ω' is reserved for the padding sink",
+    ),
+    (SHEAD.replace("outputs 0 1", "outputs 0 1 ⊥") + SBODY,
+     "output '⊥' is reserved for the padding sink"),
+    (SHEAD.replace("outputs 0 1", "outputs 0 1 0") + SBODY,
+     "outputs must be nonempty and distinct"),
+    # padding templates
+    (SHEAD + SBODY + "pad c _w\n", "line 9: 'pad' for undeclared letter 'c'"),
+    (SHEAD + SBODY + "pad b _ww\n", "template for 'b' must have length 2"),
+    (SHEAD + SBODY + "pad b _\n", "template for 'b' must have length 2"),
+    (SHEAD + SBODY + "pad b _x\n", "bad template token 'x' for 'b'"),
+    (SHEAD + SBODY + "pad b ww\n", "template for 'b' must have exactly 1 slots"),
+    (SHEAD + SBODY + "pad a _w\n", "template for 'a' must have exactly 2 slots"),
+]
+
+
+@pytest.mark.parametrize("text, message", SUBST_ERRORS)
+def test_subst_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_substitution(text)
+    assert str(info.value) == message
+
+
+# (text, the exact ParseError message): which error is reported first
+SUBST_PRECEDENCE = [
+    # a malformed line anywhere beats every missing declaration
+    ("subst v1\nletters a\nbogus\n", "line 3: unknown directive 'bogus'"),
+    # a duplicate declaration is found before its arguments are read
+    ("subst v1\noutputs 0\noutputs\n", "line 3: duplicate 'outputs' declaration"),
+    # 'initial', 'rule', 'out' and 'pad' check their shape before repetition
+    ("subst v1\nrule a -> a\nrule a a\n", "line 3: expected 'rule <id> -> <id> ...'"),
+    ("subst v1\nout a 0\nout a\n", "line 3: expected 'out <id> <sym>'"),
+    ("subst v1\npad a _w\npad a\n", "line 3: expected 'pad <id> <template>'"),
+    # missing declarations in the order letters, outputs, initial
+    ("subst v1\ninitial a\n", "missing 'letters' declaration"),
+    ("subst v1\nletters a\n", "missing 'outputs' declaration"),
+    # a missing declaration beats every name error
+    ("subst v1\nletters a\noutputs 0\nrule z -> y\n", "missing 'initial' declaration"),
+    # rules are checked in line order, each its letter, then its image
+    (SHEAD + "rule b -> z\nrule y -> a\n", "line 5: rule uses undeclared letter 'z'"),
+    (SHEAD + "rule y -> z\nrule b -> z\n", "line 5: rule for undeclared letter 'y'"),
+    # a rule error beats a missing rule, which beats every 'out' error
+    (SHEAD + "rule a -> a\nrule c -> a\n", "line 6: rule for undeclared letter 'c'"),
+    (SHEAD + "rule a -> a\nout c 0\n", "missing rule for letter 'b'"),
+    # 'out' lines in line order, each its letter, then its symbol; then a
+    # missing 'out' line in letter order
+    (SHEAD + SBODY.replace("out a 0", "out a 9").replace("out b 1", "out c 1"),
+     "line 7: unknown output token '9'"),
+    (SHEAD + "rule a -> a\nrule b -> a\nout b 1\n", "missing 'out' line for letter 'a'"),
+    (SHEAD.replace("initial a", "initial c") + "rule a -> a\nrule b -> a\nout b 1\n",
+     "missing 'out' line for letter 'a'"),
+    # an unknown initial letter beats the Substitution's own checks
+    (
+        "subst v1\nletters ω\noutputs 0 0\ninitial c\nrule ω -> ω\nout ω 0\n",
+        "line 4: unknown letter 'c'",
+    ),
+    # the reserved letter beats repeated outputs, which beat the reserved output
+    ("subst v1\nletters ω\noutputs ⊥ ⊥\ninitial ω\nrule ω -> ω\nout ω ⊥\n",
+     "letter 'ω' is reserved for the padding sink"),
+    ("subst v1\nletters a\noutputs ⊥ ⊥\ninitial a\nrule a -> a\nout a ⊥\n",
+     "outputs must be nonempty and distinct"),
+    # the Substitution's checks beat every padding error
+    (SHEAD.replace("outputs 0 1", "outputs 0 1 ⊥") + SBODY + "pad c _w\n",
+     "output '⊥' is reserved for the padding sink"),
+    # an undeclared 'pad' letter anywhere beats a bad template; templates are
+    # then checked in letter order: length, token, slot count
+    (SHEAD + SBODY + "pad a _\npad c _w\n", "line 10: 'pad' for undeclared letter 'c'"),
+    (SHEAD + SBODY + "pad b _x\npad a _\n", "template for 'a' must have length 2"),
+    (SHEAD + SBODY + "pad a _x_\n", "template for 'a' must have length 2"),
+    (SHEAD + SBODY + "pad a _x\n", "bad template token 'x' for 'a'"),
+]
+
+
+@pytest.mark.parametrize("text, message", SUBST_PRECEDENCE)
+def test_subst_parse_error_precedence(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_substitution(text)
+    assert str(info.value) == message
+
+
+def test_subst_directives_in_any_order():
+    text = (
+        "subst v1\nout b 1\nrule b -> a\ninitial a\n"
+        "out a 0\noutputs 0 1\nrule a -> a b\nletters a b\n"
+    )
+    assert parse_substitution(text) == parse_substitution(SHEAD + SBODY)
+
+
+@pytest.mark.parametrize("tool, data, line", [
+    ("moore", b"moore v1\ninputs 1\noutputs 0\nstate \xff 0\n", 4),
+    ("moore", b"\xfe", 1),
+    ("subst", b"subst v1\r\nletters a\r\n# caf\xe9\r\n", 3),
+    ("subst", b"subst v1\rletters \xc3\n", 2),
+])
+def test_text_that_is_not_utf8_is_a_parse_error(tool, data, line, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert run_cli([tool, "validate", str(path)]) == 2
+    assert "parse error: line %d: not UTF-8 text" % line in capsys.readouterr().err
