@@ -188,7 +188,7 @@ def _refine(rows, outs) -> list[int]:
     seen = {}
     block = [seen.setdefault(out, len(seen)) for out in outs]
     count = len(seen)
-    while True:
+    while count < len(rows):
         seen = {}
         get = block.__getitem__
         block = [
@@ -197,6 +197,7 @@ def _refine(rows, outs) -> list[int]:
         if len(seen) == count:  # refinement only splits, so no block split
             return block
         count = len(seen)
+    return block  # every block a single state, numbered in state order
 
 
 def minimize(m: MooreMachine) -> MooreMachine:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .equivalence import minimize
 from .machine import (
@@ -28,9 +29,11 @@ class Substitution:
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries its index data, which
-    equality, hashing and repr ignore: the rules as letter indices and a
-    table of iterate lengths (level r holds |sigma^r(a)| for every letter
-    a), grown by ``letter_at`` up to _KEPT_LEVELS + 1 levels.
+    equality, hashing and repr ignore: the rules as letter indices, the
+    shape every padding template must have, a table of iterate lengths
+    (level r holds |sigma^r(a)| for every letter a), grown by ``letter_at``
+    up to _KEPT_LEVELS + 1 levels, and a block table (a depth t and the
+    words sigma^t(a) for every letter a), built by the first ``letter_at``.
     """
 
     alphabet: tuple[str, ...]
@@ -71,7 +74,12 @@ class Substitution:
         # _rows[a][i] is the i-th letter of the image of a, as an index
         rows = tuple([tuple([pos[b] for b in img]) for img in self.rules])
         object.__setattr__(self, "_rows", rows)
+        # (length, slots, padding positions) of the template each image needs
+        q = self.q
+        shape = tuple([(q, len(img), q - len(img)) for img in self.rules])
+        object.__setattr__(self, "_pad_shape", shape)
         object.__setattr__(self, "_lengths", (((1,) * n,), (1,)))
+        object.__setattr__(self, "_block_table", None)
 
     def _publish_lengths(self, levels):
         """Make ``levels`` (level 0 first) the table of iterate lengths, with
@@ -83,6 +91,33 @@ class Substitution:
         if len(levels) > len(self._lengths[0]):
             column = tuple([level[self.initial] for level in levels])
             object.__setattr__(self, "_lengths", (tuple(levels), column))
+
+    def _blocks(self):
+        """The block table ``(t, words)``: ``words[a]`` is sigma^t(a) as letter
+        names, for the deepest t whose levels 0..t hold at most _BLOCK_LETTERS
+        letters together (level 0 always).
+
+        Built on first use and published in one attribute store, as the table
+        of iterate lengths is; so the build costs O(_BLOCK_LETTERS) however
+        slowly the iterates grow, and threads may share it.
+        """
+        blocks = self._block_table
+        if blocks is None:
+            rows = self._rows
+            words = [(a,) for a in self.alphabet]
+            depth, built = 0, len(words)
+            while True:
+                sizes = [sum([len(words[b]) for b in row]) for row in rows]
+                built += sum(sizes)
+                if built > _BLOCK_LETTERS:
+                    break
+                words = [
+                    tuple([x for b in row for x in words[b]]) for row in rows
+                ]
+                depth += 1
+            blocks = (depth, tuple(words))
+            object.__setattr__(self, "_block_table", blocks)
+        return blocks
 
     def letter_index(self, a) -> int:
         if isinstance(a, str):
@@ -108,6 +143,20 @@ class PaddingSpec:
 
     templates: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self):
+        # (length, slots, padding positions) per template, kept only when the
+        # templates are tuples of strings, which cannot change or fail to
+        # compare; validate then passes at once if it equals the shape the
+        # substitution needs
+        shape = None
+        if type(self.templates) is tuple and all(
+            type(tpl) is tuple and all(type(tok) is str for tok in tpl)
+            for tpl in self.templates
+        ):
+            shape = tuple([(len(tpl), tpl.count(SLOT), tpl.count(OMEGA))
+                           for tpl in self.templates])
+        object.__setattr__(self, "_shape", shape)
+
     @classmethod
     def default(cls, s: Substitution) -> "PaddingSpec":
         """Trailing padding: image letters first, padding after."""
@@ -119,6 +168,8 @@ class PaddingSpec:
         )
 
     def validate(self, s: Substitution):
+        if self._shape == s._pad_shape:
+            return  # every template has its length, slots and padding
         if len(self.templates) != len(s.alphabet):
             raise DomainError("need one padding template per letter")
         q = s.q
@@ -289,10 +340,11 @@ def phi(word, q: int) -> int:
 
 
 _KEPT_LEVELS = 4096  # count levels kept whole before keeping only some
+_BLOCK_LETTERS = 4096  # letters a block table may build, over all its levels
 
 
 def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
-            digits: list | None = None, levels: list | None = None):
+            digits: list | None = None, levels: list | None = None, stop: int = 0):
     """Unrank by count and descent (Dumont-Thomas numeration).
 
     Level r of the table counts, per state a, the r-digit strings (most
@@ -300,9 +352,11 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
     ``sink``; as digit 0 fixes ``start``, those from ``start`` in
     lexicographic order are the numerals in value order.  Counting stops once
     the count exceeds the rank, at ``limit`` digits, or when it stops growing
-    (for good: the language is finite).  Returns the last count and, if above
-    the rank, the state that the rank-th string reaches (else None); its
-    digits without leading zeros, most significant first, are appended to
+    (for good: the language is finite).  The descent then picks one digit
+    per level down to level ``stop``.  Returns the last count and, if above
+    the rank, the state reached at level ``stop`` and the rank left among
+    its ``stop``-digit strings (else None and the rank); the digits picked,
+    most significant first and without leading zeros, are appended to
     ``digits`` if given.
 
     ``levels``, if given, holds the first levels (level 0 first, at most
@@ -323,7 +377,12 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
         if len(kept) > _KEPT_LEVELS and len(kept) > gap:
             kept = kept[::2]  # a new list: ``levels`` keeps every level
             gap *= 2
-        below, level = level, _level_above(rows, level)
+        below, level = level, []
+        for row in rows:  # _level_above inlined: a call per level costs a third more
+            total = 0
+            for b in row:
+                total += below[b]
+            level.append(total)
         depth += 1
         if depth % gap == 0:
             kept.append(level)
@@ -331,9 +390,12 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
             break
     count = level[start]
     if count <= rank:
-        return count, None
+        return count, None, rank
     state = start
-    descent = reversed(kept[:depth]) if gap == 1 else _recount(rows, kept, gap, depth)
+    if gap == 1:
+        descent = reversed(kept[stop:depth])
+    else:
+        descent = islice(_recount(rows, kept, gap, depth), max(depth - stop, 0))
     for below in descent:
         for d, nxt in enumerate(rows[state]):
             if rank < below[nxt]:
@@ -342,7 +404,7 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
         if digits is not None:
             digits.append(d)
         state = nxt
-    return count, state
+    return count, state, rank
 
 
 def _level_above(rows, below):
@@ -379,7 +441,7 @@ def psi(pm: PaddedMachine, n: int):
     if m.transition[m.initial][0] != m.initial:
         raise DomainError("numeration needs digit 0 to fix the initial letter")
     digits = []
-    count, state = _unrank(m.transition, m.initial, n, sink=pm.sink, digits=digits)
+    count, state, _ = _unrank(m.transition, m.initial, n, sink=pm.sink, digits=digits)
     if state is None:
         raise DomainError("rank %d unreachable: only %d valid words" % (n, count))
     return tuple(reversed(digits)) or (0,)
@@ -404,8 +466,10 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     padding adds only sink entries, which count no words.  The descent starts
     at the first iterate longer than j, found by bisection in the
     substitution's table of iterate lengths (counted on, and the table
-    grown, when it is too short): O(min(k, log j) * |A| * q) when the
-    iterates grow exponentially.
+    grown, when it is too short), and ends at the depth t of the block
+    table, in a read of the word sigma^t of the letter reached; an iterate
+    no deeper than t is a prefix of sigma^t of the start letter, read at j.
+    O(min(k, log j) * |A| * q) when the iterates grow exponentially.
     """
     check_fixed_point(s)
     if k < 0:
@@ -415,17 +479,21 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     levels, lengths = s._lengths
     # the first tabled iterate longer than j, if it is at most k
     r = bisect_right(lengths, j, 0, min(k, len(lengths) - 1))
-    seed = list(levels[:r + 1])
-    length, state = _unrank(s._rows, s.initial, j, limit=k, levels=seed)
-    if len(seed) > len(levels):
-        s._publish_lengths(seed)
-    if state is None:
-        raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
+    t, words = s._block_table or s._blocks()
+    if r <= t and j < lengths[r]:
+        state, rank = s.initial, j
+    else:
+        seed = list(levels[:r + 1])
+        length, state, rank = _unrank(s._rows, s.initial, j, limit=k, levels=seed, stop=t)
+        if len(seed) > len(levels):
+            s._publish_lengths(seed)
+        if state is None:
+            raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
     if pad is not None:
         pad.validate(s)
         if pad.templates[s.initial][0] != SLOT:
             raise DomainError("numeration needs digit 0 to fix the initial letter")
-    return s.alphabet[state]
+    return words[state][rank]
 
 
 # --- minimization --------------------------------------------------------------
@@ -533,12 +601,20 @@ def parse_substitution(text: str):
                 raise ParseError("line %d: 'letters' needs at least one id" % lineno)
             if len(set(args)) != len(args):
                 raise ParseError("line %d: duplicate letter" % lineno)
+            if SINK_STATE in args:
+                raise ParseError("line %d: letter %r is reserved for the padding sink"
+                                 % (lineno, SINK_STATE))
             letters = tuple(args)
         elif key == "outputs":
             if outputs is not None:
                 raise ParseError("line %d: duplicate 'outputs' declaration" % lineno)
             if not args:
                 raise ParseError("line %d: 'outputs' needs at least one symbol" % lineno)
+            if len(set(args)) != len(args):
+                raise ParseError("line %d: duplicate output symbol" % lineno)
+            if SINK_OUTPUT in args:
+                raise ParseError("line %d: output %r is reserved for the padding sink"
+                                 % (lineno, SINK_OUTPUT))
             outputs = tuple(args)
         elif key == "initial":
             if len(args) != 1:

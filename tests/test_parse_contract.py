@@ -294,16 +294,16 @@ SUBST_ERRORS = [
     (SHEAD + SBODY.replace("out b 1", "out b 2"), "line 8: unknown output token '2'"),
     (SHEAD + SBODY.replace("out b 1\n", ""), "missing 'out' line for letter 'b'"),
     (SHEAD.replace("initial a", "initial c") + SBODY, "line 4: unknown letter 'c'"),
-    # reserved names and repeated outputs, from the Substitution itself: no line
+    # reserved names and repeated outputs, on their declaration lines
     (
         "subst v1\nletters a ω\noutputs 0\ninitial a\nrule a -> ω\nrule ω -> a\n"
         "out a 0\nout ω 0\n",
-        "letter 'ω' is reserved for the padding sink",
+        "line 2: letter 'ω' is reserved for the padding sink",
     ),
     (SHEAD.replace("outputs 0 1", "outputs 0 1 ⊥") + SBODY,
-     "output '⊥' is reserved for the padding sink"),
+     "line 3: output '⊥' is reserved for the padding sink"),
     (SHEAD.replace("outputs 0 1", "outputs 0 1 0") + SBODY,
-     "outputs must be nonempty and distinct"),
+     "line 3: duplicate output symbol"),
     # padding templates
     (SHEAD + SBODY + "pad c _w\n", "line 9: 'pad' for undeclared letter 'c'"),
     (SHEAD + SBODY + "pad b _ww\n", "template for 'b' must have length 2"),
@@ -349,19 +349,23 @@ SUBST_PRECEDENCE = [
     (SHEAD + "rule a -> a\nrule b -> a\nout b 1\n", "missing 'out' line for letter 'a'"),
     (SHEAD.replace("initial a", "initial c") + "rule a -> a\nrule b -> a\nout b 1\n",
      "missing 'out' line for letter 'a'"),
-    # an unknown initial letter beats the Substitution's own checks
+    # reserved names and repeated outputs are line errors: they beat an
+    # unknown initial letter, and come in line order
     (
         "subst v1\nletters ω\noutputs 0 0\ninitial c\nrule ω -> ω\nout ω 0\n",
-        "line 4: unknown letter 'c'",
+        "line 2: letter 'ω' is reserved for the padding sink",
     ),
-    # the reserved letter beats repeated outputs, which beat the reserved output
     ("subst v1\nletters ω\noutputs ⊥ ⊥\ninitial ω\nrule ω -> ω\nout ω ⊥\n",
-     "letter 'ω' is reserved for the padding sink"),
+     "line 2: letter 'ω' is reserved for the padding sink"),
+    ("subst v1\noutputs ⊥ ⊥\nletters ω\ninitial ω\nrule ω -> ω\nout ω ⊥\n",
+     "line 2: duplicate output symbol"),
+    # on one line, a repeated letter or output beats a reserved one
+    ("subst v1\nletters ω ω\n", "line 2: duplicate letter"),
     ("subst v1\nletters a\noutputs ⊥ ⊥\ninitial a\nrule a -> a\nout a ⊥\n",
-     "outputs must be nonempty and distinct"),
-    # the Substitution's checks beat every padding error
+     "line 3: duplicate output symbol"),
+    # the declaration lines beat every padding error
     (SHEAD.replace("outputs 0 1", "outputs 0 1 ⊥") + SBODY + "pad c _w\n",
-     "output '⊥' is reserved for the padding sink"),
+     "line 3: output '⊥' is reserved for the padding sink"),
     # an undeclared 'pad' letter anywhere beats a bad template; templates are
     # then checked in letter order: length, token, slot count
     (SHEAD + SBODY + "pad a _\npad c _w\n", "line 10: 'pad' for undeclared letter 'c'"),

@@ -38,7 +38,8 @@ from conftest import base_digits, language_words, read_data
 
 
 def fresh(s):
-    """An equal substitution whose table of iterate lengths is still empty."""
+    """An equal substitution whose tables of iterate lengths and blocks are
+    still empty."""
     return Substitution(s.alphabet, s.rules, s.outputs, s.projection, s.initial)
 
 
@@ -535,6 +536,119 @@ def test_warm_table_keeps_equality_hash_and_repr():
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5])
+def test_letter_at_in_every_block_regime(bound, monkeypatch):
+    # at the default bound the oracle iterates are read whole from the block
+    # table; small bounds make every query descend to a shallow table
+    monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
+    for name in ("fib.subst", "threeletter.subst"):
+        s, pad = parse_substitution(read_data(name))
+        assert_letter_at_matches_oracles(s, pad)
+        assert s._blocks()[0] <= 1
+
+    @given(padded_substitutions())
+    def matches_oracles(subst):
+        assert_letter_at_matches_oracles(*subst)
+
+    matches_oracles()
+    for name, k in (("fib.subst", 12), ("threeletter.subst", 6)):
+        test_letter_at_descending_then_ascending(name, k)
+    test_letter_at_threads_share_one_table()
+
+
+def test_block_table_published_once():
+    s, cold = fresh(LINEAR), fresh(LINEAR)
+    assert s._block_table is None
+    assert letter_at(s, None, 10 ** 9, 3) == "b"
+    blocks = s._block_table
+    t = blocks[0]
+    prefix = expand_fixed_point(cold, 2001)
+    ranks = (2000, 0, t, t + 1, 5)  # past the table, in it, at its edge
+    assert [letter_at(s, None, 10 ** 9, j) for j in ranks] == [prefix[j] for j in ranks]
+    assert s._block_table is blocks
+    assert s._blocks() is blocks
+    assert s == cold and hash(s) == hash(cold) and repr(s) == repr(cold)
+
+
+QUADRATIC = Substitution(("a", "b", "c"), (("a", "b"), ("b", "c"), ("c",)), ("0",), ("0",) * 3, 0)
+
+
+@pytest.mark.parametrize("s", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
+def test_block_table_build_is_bounded(s):
+    # the bound counts the letters of every level built, so growth as slow
+    # as LINEAR's still builds only O(bound) letters, in few levels
+    s = fresh(s)
+    t, words = s._blocks()
+    bound = substitution._BLOCK_LETTERS
+    levels = [[1] * len(s.alphabet)]
+    for _ in range(t + 1):
+        levels.append(substitution._level_above(s._rows, levels[-1]))
+    assert sum(map(sum, levels[:t + 1])) <= bound < sum(map(sum, levels))
+    assert words == tuple(expand_iterate(s, a, t) for a in s.alphabet)
+    assert sum(map(len, words)) <= bound
+
+
+def expand_iterate(s, a, t):
+    word = (a,)
+    for _ in range(t):
+        word = apply(s, word)
+    return word
+
+
+@pytest.mark.parametrize("templates", [
+    [[SLOT, SLOT], [SLOT, OMEGA]],
+    ([SLOT, SLOT], (SLOT, OMEGA)),
+    ((SLOT, SLOT), (SLOT, "x")),
+    [[SLOT, []], (SLOT, OMEGA)],
+    ((SLOT, SLOT), (SLOT, {})),
+    ((SLOT, SLOT), "_w"),
+    ((SLOT, SLOT),),
+    None,
+    5,
+])
+def test_padding_spec_builds_from_anything(fib, templates):
+    # a shape is kept only for tuples of strings; the rest is checked token
+    # by token, with the errors the full check gives
+    pad = PaddingSpec(templates)
+    try:
+        got = pad.validate(fib)
+    except (DomainError, TypeError) as e:
+        got = type(e), str(e)
+    try:
+        want = PaddingSpec.validate(_Unshaped(templates), fib)
+    except (DomainError, TypeError) as e:
+        want = type(e), str(e)
+    assert got == want
+    if templates == [[SLOT, SLOT], [SLOT, OMEGA]]:
+        templates[1] = [SLOT, SLOT]  # a template changed after construction
+        with pytest.raises(DomainError, match="exactly 1 slots"):
+            pad.validate(fib)
+
+
+class _Unshaped:
+    """Templates without a shape, so PaddingSpec.validate runs its full check."""
+
+    _shape = None
+
+    def __init__(self, templates):
+        self.templates = templates
+
+
+@given(st.lists(st.lists(st.sampled_from([SLOT, OMEGA, "x"]), max_size=4), max_size=4))
+def test_padding_shape_agrees_with_full_check(templates):
+    s = Substitution(
+        ("a", "b", "c"), (("a", "b", "c"), ("c",), ("b", "a")), ("0",), ("0",) * 3, 0
+    )
+    outcomes = []
+    for pad in (PaddingSpec(tuple(map(tuple, templates))), _Unshaped(templates)):
+        try:
+            PaddingSpec.validate(pad, s)
+            outcomes.append(None)
+        except DomainError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_letter_at_checks_padding():
