@@ -3,45 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .machine import Counterexample, DomainError, MooreMachine, _reachable, trim
-
-
-@dataclass(frozen=True)
-class OutputCombiner:
-    """A total map from output-symbol pairs to a combined output alphabet."""
-
-    outputs: tuple[str, ...]
-    table: dict = field(hash=False)
-
-    def __call__(self, s1: str, s2: str) -> str:
-        try:
-            return self.table[(s1, s2)]
-        except KeyError:
-            raise DomainError("combiner undefined on (%r, %r)" % (s1, s2)) from None
-
-
-def pair_combiner(out1, out2) -> OutputCombiner:
-    """Keep both outputs as a pair token."""
-    outputs = tuple("(%s,%s)" % (a, b) for a in out1 for b in out2)
-    table = {(a, b): "(%s,%s)" % (a, b) for a in out1 for b in out2}
-    return OutputCombiner(outputs, table)
-
-
-def first_combiner(out1, out2) -> OutputCombiner:
-    return OutputCombiner(tuple(out1), {(a, b): a for a in out1 for b in out2})
-
-
-def second_combiner(out1, out2) -> OutputCombiner:
-    return OutputCombiner(tuple(out2), {(a, b): b for a in out1 for b in out2})
-
-
-_BUILTIN_COMBINERS = {
-    "pair": pair_combiner,
-    "first": first_combiner,
-    "second": second_combiner,
-}
 
 
 def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
@@ -51,19 +15,24 @@ def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
         )
 
 
-def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
-    """Reachable pair-synchronized machine with outputs merged by the combiner.
+def _pair(a: str, b: str) -> str:
+    return "(%s,%s)" % (a, b)
 
-    `combine` is an OutputCombiner or one of the builtin names
-    "pair", "first", "second".
+
+def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
+    """Reachable pair-synchronized machine with outputs merged by `combine`:
+    "pair" outputs the token "(o1,o2)", "first" o1 and "second" o2.
     """
     _check_same_inputs(m1, m2)
-    if isinstance(combine, str):
-        try:
-            factory = _BUILTIN_COMBINERS[combine]
-        except KeyError:
-            raise DomainError("unknown combiner %r" % combine) from None
-        combine = factory(m1.outputs, m2.outputs)
+    if combine == "pair":
+        outputs = tuple(_pair(a, b) for a in m1.outputs for b in m2.outputs)
+        join = _pair
+    elif combine == "first":
+        outputs, join = m1.outputs, lambda a, b: a
+    elif combine == "second":
+        outputs, join = m2.outputs, lambda a, b: b
+    else:
+        raise DomainError("unknown combiner %r" % (combine,))
 
     start = (m1.initial, m2.initial)
     order = [start]
@@ -85,13 +54,11 @@ def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
         pos += 1
 
     return MooreMachine(
-        states=tuple("(%s,%s)" % (m1.states[a1], m2.states[a2]) for a1, a2 in order),
+        states=tuple(_pair(m1.states[a1], m2.states[a2]) for a1, a2 in order),
         input_count=m1.input_count,
-        outputs=combine.outputs,
+        outputs=outputs,
         transition=tuple(rows),
-        output_map=tuple(
-            combine(m1.output_map[a1], m2.output_map[a2]) for a1, a2 in order
-        ),
+        output_map=tuple(join(m1.output_map[a1], m2.output_map[a2]) for a1, a2 in order),
         initial=0,
         input_names=m1.input_names if m1.input_names == m2.input_names else None,
     )

@@ -172,18 +172,20 @@ class PaddingSpec:
             return  # every template has its length, slots and padding
         if len(self.templates) != len(s.alphabet):
             raise DomainError("need one padding template per letter")
-        q = s.q
         for a, img, tpl in zip(s.alphabet, s.rules, self.templates):
-            if len(tpl) != q:
-                raise DomainError("template for %r must have length %d" % (a, q))
-            slots = tpl.count(SLOT)  # counts compare like ``in``, and need no hashing
-            if slots + tpl.count(OMEGA) != q:
-                tok = next(tok for tok in tpl if tok not in (SLOT, OMEGA))
-                raise DomainError("bad template token %r for %r" % (tok, a))
-            if slots != len(img):
-                raise DomainError(
-                    "template for %r must have exactly %d slots" % (a, len(img))
-                )
+            _check_template(a, img, tpl, s.q)
+
+
+def _check_template(a, img, tpl, q: int):
+    """Raise DomainError unless tpl pads the image img of letter a to length q."""
+    if len(tpl) != q:
+        raise DomainError("template for %r must have length %d" % (a, q))
+    slots = tpl.count(SLOT)  # counts compare like ``in``, and need no hashing
+    if slots + tpl.count(OMEGA) != q:
+        tok = next(tok for tok in tpl if tok not in (SLOT, OMEGA))
+        raise DomainError("bad template token %r for %r" % (tok, a))
+    if slots != len(img):
+        raise DomainError("template for %r must have exactly %d slots" % (a, len(img)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,6 @@ class PaddedMachine:
 
     machine: MooreMachine
     sink: int
-    sink_output: str
 
 
 # --- letter words -----------------------------------------------------------
@@ -285,7 +286,7 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
         output_map=s.projection + (SINK_OUTPUT,),
         initial=s.initial,
     )
-    return PaddedMachine(machine, n, SINK_OUTPUT)
+    return PaddedMachine(machine, n)
 
 
 def is_constant_length(s: Substitution) -> bool:
@@ -509,11 +510,7 @@ def minimize_substitution(s: Substitution, pad: PaddingSpec | None = None):
     check_fixed_point(s)
     pm = to_padded_machine(s, pad)
     b = minimize(pm.machine)
-    sink_class = None
-    for k, out in enumerate(b.output_map):
-        if out == pm.sink_output:
-            sink_class = k
-            break
+    sink_class = b.output_map.index(SINK_OUTPUT) if SINK_OUTPUT in b.output_map else None
     live = [k for k in range(b.n) if k != sink_class]
     names = {c: "c%d" % pos for pos, c in enumerate(live)}
     rules = tuple(
@@ -537,40 +534,6 @@ def minimize_substitution(s: Substitution, pad: PaddingSpec | None = None):
             len(live),
         )
     return result, note
-
-
-def substitutions_isomorphic(s1: Substitution, s2: Substitution):
-    """Letter bijection identifying two substitutions, or None.
-
-    The only candidate maps start letter to start letter and follows the rule
-    images position by position; every letter must be reachable that way.
-    """
-    if len(s1.alphabet) != len(s2.alphabet):
-        return None
-    fwd = {s1.initial: s2.initial}
-    queue = [s1.initial]
-    pos1 = {a: k for k, a in enumerate(s1.alphabet)}
-    pos2 = {a: k for k, a in enumerate(s2.alphabet)}
-    while queue:
-        a = queue.pop()
-        b = fwd[a]
-        if s1.projection[a] != s2.projection[b]:
-            return None
-        img1, img2 = s1.rules[a], s2.rules[b]
-        if len(img1) != len(img2):
-            return None
-        for x, y in zip(img1, img2):
-            xi, yi = pos1[x], pos2[y]
-            if xi in fwd:
-                if fwd[xi] != yi:
-                    return None
-            else:
-                fwd[xi] = yi
-                queue.append(xi)
-    n = len(s1.alphabet)
-    if len(fwd) != n or len(set(fwd.values())) != n:
-        return None
-    return {s1.alphabet[a]: s2.alphabet[b] for a, b in fwd.items()}
 
 
 # --- text format ----------------------------------------------------------------
@@ -687,17 +650,19 @@ def parse_substitution(text: str):
     except DomainError as e:
         raise ParseError(str(e)) from None
 
-    templates = list(PaddingSpec.default(s).templates)
     for name, (tpl, lineno) in pads.items():
         if name not in member:
             raise ParseError("line %d: 'pad' for undeclared letter %r" % (lineno, name))
-        templates[letters.index(name)] = tpl
-    pad = PaddingSpec(tuple(templates))
-    try:
-        pad.validate(s)
-    except DomainError as e:
-        raise ParseError(str(e)) from None
-    return s, pad
+    templates = list(PaddingSpec.default(s).templates)
+    for k, a in enumerate(letters):  # the default templates fit; check the others
+        if a in pads:
+            tpl, lineno = pads[a]
+            try:
+                _check_template(a, s.rules[k], tpl, s.q)
+            except DomainError as e:
+                raise ParseError("line %d: %s" % (lineno, e)) from None
+            templates[k] = tpl
+    return s, PaddingSpec(tuple(templates))
 
 
 def emit_substitution(s: Substitution, pad: PaddingSpec | None = None) -> str:

@@ -1,11 +1,19 @@
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from mooredual.duality import dual_with_vectors
-from mooredual.machine import DomainError, MooreMachine, left_action, parse_machine, trim
+from mooredual.machine import (
+    DomainError,
+    MooreMachine,
+    left_action,
+    parse_machine,
+    right_action,
+    trim,
+)
 
 # Same examples on every run; no per-example deadline on a loaded host.
 settings.register_profile("fixed", derandomize=True, deadline=None)
@@ -44,6 +52,106 @@ def random_machine(rng, max_states=8, max_inputs=3, max_outputs=3):
         initial=rng.randrange(n),
     )
     return trim(m)
+
+
+def check_vector(m, f):
+    """f as a tuple, if it is an element of Delta^Q for the machine m."""
+    f = tuple(f)
+    if len(f) != m.n:
+        raise DomainError("vector has %d entries, machine has %d states" % (len(f), m.n))
+    for v in f:
+        if v not in m.outputs:
+            raise DomainError("vector value %r not in the output alphabet" % (v,))
+    return f
+
+
+def act_left_on_function(m, w, f):
+    """(w.f)(a) = f(a.w) for every state a."""
+    f = check_vector(m, f)
+    return tuple(f[right_action(m, a, w)] for a in range(m.n))
+
+
+def act_right_on_function(m, f, w):
+    """(f.w)(a) = f(w.a) for every state a."""
+    f = check_vector(m, f)
+    return tuple(f[left_action(m, w, a)] for a in range(m.n))
+
+
+def literal_closure(mt, successor):
+    """The dual of the trimmed machine mt and its vectors, by the paper's
+    worklist: lambda is state 0, and the vectors are numbered breadth-first,
+    letters ascending, as successor(f, j) first finds them."""
+    vectors = [tuple(mt.output_map)]
+    number = {vectors[0]: 0}
+    rows = []
+    queue = deque(vectors)
+    while queue:
+        f = queue.popleft()
+        row = []
+        for j in range(mt.input_count):
+            g = successor(f, j)
+            if g not in number:
+                number[g] = len(vectors)
+                vectors.append(g)
+                queue.append(g)
+            row.append(number[g])
+        rows.append(tuple(row))
+    machine = MooreMachine(
+        states=tuple("d%d" % k for k in range(len(vectors))),
+        input_count=mt.input_count,
+        outputs=mt.outputs,
+        transition=tuple(rows),
+        output_map=tuple(f[mt.initial] for f in vectors),
+        initial=0,
+        input_names=mt.input_names,
+    )
+    return machine, tuple(vectors)
+
+
+def dual_via_right_definition(m):
+    """Dual and vectors built literally from the right-dual equations (successor j.f)."""
+    mt = trim(m)
+    return literal_closure(mt, lambda f, j: act_left_on_function(mt, (j,), f))
+
+
+def dual_via_left_definition(m):
+    """Dual and vectors built literally from the left-dual equations (successor f.j)."""
+    mt = trim(m)
+    return literal_closure(mt, lambda f, j: act_right_on_function(mt, f, (j,)))
+
+
+def substitutions_isomorphic(s1, s2):
+    """Letter bijection identifying two substitutions, or None.
+
+    The only candidate maps start letter to start letter and follows the rule
+    images position by position; every letter must be reachable that way.
+    """
+    if len(s1.alphabet) != len(s2.alphabet):
+        return None
+    fwd = {s1.initial: s2.initial}
+    queue = [s1.initial]
+    pos1 = {a: k for k, a in enumerate(s1.alphabet)}
+    pos2 = {a: k for k, a in enumerate(s2.alphabet)}
+    while queue:
+        a = queue.pop()
+        b = fwd[a]
+        if s1.projection[a] != s2.projection[b]:
+            return None
+        img1, img2 = s1.rules[a], s2.rules[b]
+        if len(img1) != len(img2):
+            return None
+        for x, y in zip(img1, img2):
+            xi, yi = pos1[x], pos2[y]
+            if xi in fwd:
+                if fwd[xi] != yi:
+                    return None
+            else:
+                fwd[xi] = yi
+                queue.append(xi)
+    n = len(s1.alphabet)
+    if len(fwd) != n or len(set(fwd.values())) != n:
+        return None
+    return {s1.alphabet[a]: s2.alphabet[b] for a, b in fwd.items()}
 
 
 def bidual_state_classes(m):

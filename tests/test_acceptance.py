@@ -6,13 +6,7 @@ import time
 import pytest
 
 from mooredual.cli import run_cli
-from mooredual.duality import (
-    bidual,
-    dual,
-    dual_via_left_definition,
-    dual_via_right_definition,
-    dual_with_vectors,
-)
+from mooredual.duality import bidual, dual, dual_with_vectors
 from mooredual.equivalence import equivalent, minimize, normal_form
 from mooredual.machine import (
     MooreMachine,
@@ -32,11 +26,19 @@ from mooredual.substitution import (
     minimize_substitution,
     parse_substitution,
     psi,
-    substitutions_isomorphic,
     to_padded_machine,
 )
 
-from conftest import DATA, read_data, read_golden, random_word, split_state
+from conftest import (
+    DATA,
+    dual_via_left_definition,
+    dual_via_right_definition,
+    read_data,
+    read_golden,
+    random_word,
+    split_state,
+    substitutions_isomorphic,
+)
 
 
 def report(number, description):
@@ -111,7 +113,7 @@ def test_criterion_4_dual_construction_coincidence(corpus):
     for m in corpus:
         right = dual_via_right_definition(m)
         assert right == dual_via_left_definition(m)
-        assert dual_with_vectors(m) == right  # the column-lookup closure
+        assert dual_with_vectors(m) == right  # the library's column-lookup closure
     report(4, "right- and left-dual constructions give identical vector machines")
 
 

@@ -11,7 +11,6 @@ from mooredual.equivalence import (
     isomorphic,
     minimize,
     normal_form,
-    pair_combiner,
     product,
     state_classes,
     states_equivalent,
@@ -100,10 +99,15 @@ def test_product_input_mismatch(paper):
         product(paper, other)
 
 
-def test_custom_combiner_must_be_total(paper):
-    partial = pair_combiner(("0",), ("0",))  # misses pairs involving "1"
-    with pytest.raises(DomainError):
-        product(paper, paper, partial)
+def test_product_combiner_names(paper):
+    other = MooreMachine(("s",), 2, ("x", "y"), ((0, 0),), ("y",), 0)
+    assert product(paper, other, "pair").outputs == ("(0,x)", "(0,y)", "(1,x)", "(1,y)")
+    assert product(paper, other, "first").outputs == ("0", "1")
+    assert product(paper, other, "second").outputs == ("x", "y")
+    assert product(paper, other, "second").output_map == ("y", "y", "y")
+    for combine in ("sum", None, ("0",)):
+        with pytest.raises(DomainError, match="unknown combiner"):
+            product(paper, other, combine)
 
 
 # --- equivalent ------------------------------------------------------------------

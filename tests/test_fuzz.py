@@ -1,0 +1,157 @@
+"""Mutation fuzzing of both text formats and of the CLI.
+
+Valid .moore and .subst texts are mutated token by token: drops, swaps,
+huge integers, reserved names, duplicated or dropped lines.  Whatever comes
+out, a parser returns a value or raises ParseError, and ``run_cli`` returns
+an exit code in 0-3 without raising.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mooredual.cli import run_cli
+from mooredual.machine import MooreMachine, ParseError, emit_machine, parse_machine
+from mooredual.substitution import parse_substitution
+
+from conftest import read_data
+
+EMPTY = ["", "\n\n", "# only a comment\n", "  # one\n# two\n\n"]
+
+MOORE_BASES = EMPTY + [
+    read_data("example.moore"),
+    read_data("example_bad.moore"),
+    read_data("example_missing.moore"),
+    read_data("example_min.moore"),
+    # twelve inputs: words are comma-separated numbers
+    emit_machine(MooreMachine(("p", "q"), 12, ("0", "1"),
+                              (tuple(range(2)) * 6, (0,) * 12), ("0", "1"), 0)),
+]
+
+SUBST_BASES = EMPTY + [
+    read_data("fib.subst"),
+    read_data("threeletter.subst"),
+    "subst v1\nletters a b\noutputs 0 1\ninitial a\nrule a -> a b\nrule b -> a\n"
+    "out a 0\nout b 1\npad b w_\n",
+    # q = 12: words are comma-separated numbers
+    "subst v1\nletters a b\noutputs x y\ninitial a\nrule a -> a b b b b b b b b b b b\n"
+    "rule b -> b a\nout a x\nout b y\n",
+]
+
+ODD_TOKENS = st.sampled_from([
+    "ω", "⊥", "0", "1", "-1", "²", "99999999999999999999", "1" * 5000, "->", "_", "w",
+    "_w", "w_", "moore", "subst", "v1", "inputs", "outputs", "state", "initial", "trans",
+    "letters", "rule", "out", "pad",
+]) | st.integers(-(10 ** 30), 10 ** 30).map(str)
+
+
+@st.composite
+def mutated(draw, bases, most=5):
+    """A base text with up to ``most`` token- or line-level mutations."""
+    lines = [line.split() for line in draw(st.sampled_from(bases)).splitlines()]
+    for _ in range(draw(st.integers(0, most))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(["drop", "swap", "replace", "duplicate", "delete"]))
+        if op == "duplicate":  # a repeated directive, anywhere
+            lines.insert(draw(st.integers(0, len(lines))), list(line))
+        elif op == "delete":
+            del lines[i]
+        elif line:
+            k = draw(st.integers(0, len(line) - 1))
+            if op == "drop":
+                del line[k]
+            elif op == "replace":
+                line[k] = draw(ODD_TOKENS)
+            else:  # swap with a token of any line
+                other = lines[draw(st.integers(0, len(lines) - 1))]
+                if other:
+                    k2 = draw(st.integers(0, len(other) - 1))
+                    line[k], other[k2] = other[k2], line[k]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@settings(max_examples=300)
+@given(mutated(MOORE_BASES))
+def test_mutated_moore_text_parses_or_is_a_parse_error(text):
+    try:
+        parse_machine(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300)
+@given(mutated(SUBST_BASES))
+def test_mutated_subst_text_parses_or_is_a_parse_error(text):
+    try:
+        parse_substitution(text)
+    except ParseError:
+        pass
+
+
+SMALL = st.integers(-3, 40).map(str)
+WORDS = st.text(alphabet="0123456789,-² ", max_size=10)
+
+
+@st.composite
+def moore_argv(draw, one, two):
+    command = draw(st.sampled_from(
+        ["validate", "run", "minimize", "dual", "normal", "dot", "equiv", "iso", "product"]
+    ))
+    if command == "run":
+        return ["run", one, "--word", draw(WORDS), "--side", draw(st.sampled_from(["right", "left"]))]
+    if command == "dual":
+        return ["dual", one, "--max-states", draw(st.sampled_from(["0", "-1", "1", "3", "262144"]))]
+    if command in ("equiv", "iso"):
+        return [command, one, two]
+    if command == "product":
+        return ["product", one, two, "--combine", draw(st.sampled_from(["pair", "first", "second", "sum"]))]
+    return [command, one]
+
+
+@st.composite
+def subst_argv(draw, one):
+    command = draw(st.sampled_from(
+        ["validate", "expand", "letter", "phi", "psi", "minimize", "to-machine"]
+    ))
+    if command == "expand":
+        return ["expand", one, "-n", draw(SMALL)] + draw(st.sampled_from([[], ["--project"]]))
+    if command == "letter":
+        k = draw(SMALL | st.just(str(10 ** 12)))
+        start = draw(st.sampled_from([[], ["--start", "a"], ["--start", "i"], ["--start", "ω"]]))
+        return ["letter", one, "-k", k, "-n", draw(SMALL)] + start
+    if command == "phi":
+        return ["phi", one, "--word", draw(WORDS)]
+    if command == "psi":
+        return ["psi", one, "-n", draw(SMALL)]
+    return [command, one]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def quiet_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(argv)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cli_exits_0_to_3_on_mutated_files(workdir, data):
+    one, two = str(workdir / "one.txt"), str(workdir / "two.txt")
+    if data.draw(st.booleans()):
+        for path in (one, two):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data.draw(mutated(MOORE_BASES, most=2)))
+        argv = ["moore"] + data.draw(moore_argv(one, two))
+    else:
+        with open(one, "w", encoding="utf-8") as fh:
+            fh.write(data.draw(mutated(SUBST_BASES, most=2)))
+        argv = ["subst"] + data.draw(subst_argv(one))
+    assert quiet_cli(argv) in (0, 1, 2, 3), argv

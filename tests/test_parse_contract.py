@@ -306,11 +306,11 @@ SUBST_ERRORS = [
      "line 3: duplicate output symbol"),
     # padding templates
     (SHEAD + SBODY + "pad c _w\n", "line 9: 'pad' for undeclared letter 'c'"),
-    (SHEAD + SBODY + "pad b _ww\n", "template for 'b' must have length 2"),
-    (SHEAD + SBODY + "pad b _\n", "template for 'b' must have length 2"),
-    (SHEAD + SBODY + "pad b _x\n", "bad template token 'x' for 'b'"),
-    (SHEAD + SBODY + "pad b ww\n", "template for 'b' must have exactly 1 slots"),
-    (SHEAD + SBODY + "pad a _w\n", "template for 'a' must have exactly 2 slots"),
+    (SHEAD + SBODY + "pad b _ww\n", "line 9: template for 'b' must have length 2"),
+    (SHEAD + SBODY + "pad b _\n", "line 9: template for 'b' must have length 2"),
+    (SHEAD + SBODY + "pad b _x\n", "line 9: bad template token 'x' for 'b'"),
+    (SHEAD + SBODY + "pad b ww\n", "line 9: template for 'b' must have exactly 1 slots"),
+    (SHEAD + SBODY + "pad a _w\n", "line 9: template for 'a' must have exactly 2 slots"),
 ]
 
 
@@ -369,9 +369,9 @@ SUBST_PRECEDENCE = [
     # an undeclared 'pad' letter anywhere beats a bad template; templates are
     # then checked in letter order: length, token, slot count
     (SHEAD + SBODY + "pad a _\npad c _w\n", "line 10: 'pad' for undeclared letter 'c'"),
-    (SHEAD + SBODY + "pad b _x\npad a _\n", "template for 'a' must have length 2"),
-    (SHEAD + SBODY + "pad a _x_\n", "template for 'a' must have length 2"),
-    (SHEAD + SBODY + "pad a _x\n", "bad template token 'x' for 'a'"),
+    (SHEAD + SBODY + "pad b _x\npad a _\n", "line 10: template for 'a' must have length 2"),
+    (SHEAD + SBODY + "pad a _x_\n", "line 9: template for 'a' must have length 2"),
+    (SHEAD + SBODY + "pad a _x\n", "line 9: bad template token 'x' for 'a'"),
 ]
 
 

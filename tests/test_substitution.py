@@ -30,11 +30,10 @@ from mooredual.substitution import (
     parse_substitution,
     phi,
     psi,
-    substitutions_isomorphic,
     to_padded_machine,
 )
 
-from conftest import base_digits, language_words, read_data
+from conftest import base_digits, language_words, read_data, substitutions_isomorphic
 
 
 def fresh(s):
