@@ -15,13 +15,20 @@ def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
         )
 
 
+_PAIR_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
 def _pair(a: str, b: str) -> str:
-    return "(%s,%s)" % (a, b)
+    """The name "(a,b)" of a pair, escaped as ``product`` describes."""
+    return "(%s,%s)" % (a.translate(_PAIR_ESCAPES), b.translate(_PAIR_ESCAPES))
 
 
 def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
     """Reachable pair-synchronized machine with outputs merged by `combine`:
-    "pair" outputs the token "(o1,o2)", "first" o1 and "second" o2.
+    "pair" outputs the token "(o1,o2)", "first" o1 and "second" o2.  Pair
+    states are named "(s1,s2)".  Inside a pair name, backslash, comma and
+    parentheses are escaped by a backslash, so distinct pairs get distinct
+    names.
     """
     _check_same_inputs(m1, m2)
     if combine == "pair":

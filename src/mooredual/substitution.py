@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .equivalence import minimize
 from .machine import (
@@ -32,8 +32,13 @@ class Substitution:
     equality, hashing and repr ignore: the rules as letter indices, the
     shape every padding template must have, a table of iterate lengths
     (level r holds |sigma^r(a)| for every letter a), grown by ``letter_at``
-    up to _KEPT_LEVELS + 1 levels, and a block table (a depth t and the
-    words sigma^t(a) for every letter a), built by the first ``letter_at``.
+    up to _KEPT_LEVELS + 1 levels, and a block table, built by the first
+    ``letter_at`` or ``letter_at_constant``: a depth t, the words sigma^t(a)
+    for every letter a, and the first _BLOCK_LETTERS letters of the fixed
+    point with the offsets of their blocks sigma^t.  A warm ``letter_at``
+    below the reach of those blocks is one bisection; past it, r - t
+    descent levels for the r-th iterate.  ``letter_at_constant`` walks
+    k - t digits for step k >= t.
     """
 
     alphabet: tuple[str, ...]
@@ -93,9 +98,15 @@ class Substitution:
             object.__setattr__(self, "_lengths", (tuple(levels), column))
 
     def _blocks(self):
-        """The block table ``(t, words)``: ``words[a]`` is sigma^t(a) as letter
-        names, for the deepest t whose levels 0..t hold at most _BLOCK_LETTERS
-        letters together (level 0 always).
+        """The block table ``(t, words, prefix, offsets)``.
+
+        ``words[a]`` is sigma^t(a) as letter names, for the deepest t whose
+        levels 0..t hold at most _BLOCK_LETTERS letters together (level 0
+        always).  ``prefix`` is the first _BLOCK_LETTERS letters of the fixed
+        point, as letter indices (empty without a fixed point), and
+        ``offsets[i]`` is where sigma^t(prefix[i]) starts in the fixed point,
+        which sigma^t maps to itself; the last offset, |sigma^t(prefix)|, is
+        the reach below which a letter is read from the table.
 
         Built on first use and published in one attribute store, as the table
         of iterate lengths is; so the build costs O(_BLOCK_LETTERS) however
@@ -115,7 +126,18 @@ class Substitution:
                     tuple([x for b in row for x in words[b]]) for row in rows
                 ]
                 depth += 1
-            blocks = (depth, tuple(words))
+            # the fixed point is the image of itself, read off as it is written
+            start = self.initial
+            prefix = []
+            if rows[start][0] == start and len(rows[start]) > 1:
+                prefix = list(rows[start])
+                i = 1
+                while len(prefix) < _BLOCK_LETTERS:
+                    prefix += rows[prefix[i]]
+                    i += 1
+                del prefix[_BLOCK_LETTERS:]
+            offsets = accumulate([len(words[b]) for b in prefix], initial=0)
+            blocks = (depth, tuple(words), tuple(prefix), tuple(offsets))
             object.__setattr__(self, "_block_table", blocks)
         return blocks
 
@@ -296,9 +318,11 @@ def is_constant_length(s: Substitution) -> bool:
 def letter_at_constant(s: Substitution, k: int, a, n: int):
     """Letter n of the k-th image of letter a, via digit indexing (no expansion).
 
-    The k base-q digits of n pick an image position per step.  The leading
-    zeros follow the first letters of the images, which cycle within |A|
-    steps, so a huge k costs no more than the digits of n.
+    The k base-q digits of n pick an image position per step.  For k at
+    least the depth t of the block table, only the top k - t digits are
+    walked, and the last t index sigma^t of the letter reached.  The
+    leading zeros follow the first letters of the images, which cycle
+    within |A| steps, so a huge k costs no more than the digits of n.
     """
     if not is_constant_length(s):
         raise DomainError("substitution is not constant-length")
@@ -307,6 +331,11 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     if k < 0 or not 0 <= n < q ** min(k, n.bit_length()):  # n < q**k
         raise DomainError("index %d out of range for step %d" % (n, k))
     rows = s._rows
+    t, words, _, _ = s._block_table or s._blocks()
+    low = None
+    if k >= t:
+        n, low = divmod(n, len(words[0]))  # every sigma^t(b) has q**t letters
+        k -= t
     digits = []  # base q, least significant first
     while n:
         n, d = divmod(n, q)
@@ -322,7 +351,9 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
         state = cycle[zeros % len(cycle)]
     for d in reversed(digits):
         state = rows[state][d]
-    return s.alphabet[state]
+    if low is None:
+        return s.alphabet[state]
+    return words[state][low]
 
 
 # --- digit-word numeration ----------------------------------------------------
@@ -463,14 +494,18 @@ def fixed_point_lengths(s: Substitution, k: int) -> list[int]:
 def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     """Letter j of the k-th iterate of the start letter, via the numeration.
 
-    The letter the padded machine reaches on psi(j), found on the rule rows:
-    padding adds only sink entries, which count no words.  The descent starts
-    at the first iterate longer than j, found by bisection in the
-    substitution's table of iterate lengths (counted on, and the table
-    grown, when it is too short), and ends at the depth t of the block
-    table, in a read of the word sigma^t of the letter reached; an iterate
-    no deeper than t is a prefix of sigma^t of the start letter, read at j.
-    O(min(k, log j) * |A| * q) when the iterates grow exponentially.
+    Every iterate is a prefix of the fixed point, so below the reach of the
+    block table (at most _BLOCK_LETTERS entries of the fixed point, each
+    indexing sigma^t of its letter) an index inside the k-th iterate is
+    read with one bisection of the table's offsets.  Past the reach, it is
+    the letter the padded machine reaches on psi(j), found on the rule
+    rows: padding adds only sink entries, which count no words.  The
+    descent starts at the first iterate longer than j, found by bisection
+    in the substitution's table of iterate lengths (counted on, and the
+    table grown, when it is too short), and ends at the depth t of the
+    block table, in a read of the word sigma^t of the letter reached: r - t
+    levels for the r-th iterate, O(min(k, log j) * |A| * q) when the
+    iterates grow exponentially.
     """
     check_fixed_point(s)
     if k < 0:
@@ -478,23 +513,26 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     if j < 0:
         raise DomainError("index %d out of range for step %d" % (j, k))
     levels, lengths = s._lengths
-    # the first tabled iterate longer than j, if it is at most k
-    r = bisect_right(lengths, j, 0, min(k, len(lengths) - 1))
-    t, words = s._block_table or s._blocks()
-    if r <= t and j < lengths[r]:
-        state, rank = s.initial, j
+    top = min(k, len(lengths) - 1)
+    t, words, prefix, offsets = s._block_table or s._blocks()
+    if j < offsets[-1] and j < lengths[top]:
+        i = bisect_right(offsets, j) - 1
+        letter = words[prefix[i]][j - offsets[i]]
     else:
+        # the first tabled iterate longer than j, if it is at most k
+        r = bisect_right(lengths, j, 0, top)
         seed = list(levels[:r + 1])
         length, state, rank = _unrank(s._rows, s.initial, j, limit=k, levels=seed, stop=t)
         if len(seed) > len(levels):
             s._publish_lengths(seed)
         if state is None:
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
+        letter = words[state][rank]
     if pad is not None:
         pad.validate(s)
         if pad.templates[s.initial][0] != SLOT:
             raise DomainError("numeration needs digit 0 to fix the initial letter")
-    return words[state][rank]
+    return letter
 
 
 # --- minimization --------------------------------------------------------------

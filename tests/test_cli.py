@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mooredual
 from mooredual.cli import run_cli
@@ -110,19 +111,21 @@ def test_dot_counts(paper):
 DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
-@pytest.mark.parametrize("states, outputs, inputs", [
-    (('a"b', "a\\"), ("0", "1"), None),
-    (("s", "t"), ('"', "\\"), None),
-    (("s", "t"), ("0", "1"), ('x"', '\\"')),
-    (('"\\', '\\"'), ('\\\\', '""'), ("\\x", 'y"')),
-])
+# any text, with quotes, backslashes and slashes drawn often
+DOT_NAME = st.text(st.one_of(st.sampled_from('"\\/'), st.characters(exclude_categories=("Cs",))),
+                   min_size=1, max_size=5)
+DOT_NAME_PAIRS = st.lists(DOT_NAME, min_size=2, max_size=2, unique=True).map(tuple)
+
+
+@given(DOT_NAME_PAIRS, DOT_NAME_PAIRS,
+       st.none() | st.lists(DOT_NAME, min_size=2, max_size=2).map(tuple))
 def test_dot_quotes_every_string(states, outputs, inputs):
     m = MooreMachine(states, 2, outputs, ((1, 0), (1, 1)), outputs, 0, inputs)
     text = to_dot(m)
-    # every quote and backslash is inside a well-formed DOT string
-    for line in text.splitlines():
-        rest = DOT_STRING.sub("", line)
-        assert '"' not in rest and "\\" not in rest, line
+    # every quote and backslash is inside a well-formed DOT string (a name
+    # may hold a line break, which a DOT string may too)
+    rest = DOT_STRING.sub("", text)
+    assert '"' not in rest and "\\" not in rest, text
     # and each string reads back as the name or label it stands for
     labels = [m.input_label(j) for j in range(2)]
     expected = [states[0]]

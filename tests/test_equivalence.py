@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mooredual.cli import run_cli
 from mooredual.duality import bidual, dual
@@ -20,6 +21,7 @@ from mooredual.machine import (
     DomainError,
     MooreMachine,
     emit_machine,
+    parse_machine,
     run_right,
     trim,
 )
@@ -108,6 +110,44 @@ def test_product_combiner_names(paper):
     for combine in ("sum", None, ("0",)):
         with pytest.raises(DomainError, match="unknown combiner"):
             product(paper, other, combine)
+
+
+@pytest.mark.parametrize("names1, names2, field, want", [
+    # output names: (x,y | z) and (x | y,z) were both named "(x,y,z)"
+    (("s t", "x,y x"), ("u v", "z y,z"), "outputs",
+     ("(x\\,y,z)", "(x\\,y,y\\,z)", "(x,z)", "(x,y\\,z)")),
+    # state names: (p,q | r) and (p | q,r), both reached
+    (("p,q p", "0 0"), ("r q,r", "0 0"), "states", ("(p\\,q,r)", "(p,q\\,r)")),
+], ids=["outputs", "states"])
+def test_product_pair_names_are_distinct(tmp_path, capsys, names1, names2, field, want):
+    paths = []
+    for k, (states, outputs) in enumerate((names1, names2)):
+        (a, b), (o1, o2) = states.split(), outputs.split()
+        m = MooreMachine((a, b), 1, tuple(dict.fromkeys((o1, o2))), ((1,), (0,)), (o1, o2), 0)
+        paths.append(tmp_path / ("m%d.moore" % k))
+        paths[-1].write_text(emit_machine(m), encoding="utf-8")
+    code = run_cli(["moore", "product", str(paths[0]), str(paths[1])])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert getattr(parse_machine(out), field) == want
+
+
+NAMES = st.lists(st.text(st.sampled_from("ab,()\\\"/é"), min_size=1, max_size=4),
+                 min_size=1, max_size=3, unique=True)
+
+
+@given(NAMES, NAMES)
+def test_product_names_every_pair_apart(names1, names2):
+    # input 0 steps the first machine, input 1 the second, so every pair of
+    # states is reached; names read back through the text format
+    n1, n2 = len(names1), len(names2)
+    m1 = MooreMachine(tuple(names1), 2, tuple(names1), tuple(((a + 1) % n1, a) for a in range(n1)),
+                      tuple(names1), 0)
+    m2 = MooreMachine(tuple(names2), 2, tuple(names2), tuple((b, (b + 1) % n2) for b in range(n2)),
+                      tuple(names2), 0)
+    p = product(m1, m2, "pair")
+    assert len(set(p.states)) == len(set(p.outputs)) == n1 * n2
+    assert parse_machine(emit_machine(p)) == p
 
 
 # --- equivalent ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,13 +211,7 @@ def test_letter_at_constant_examples(paper_subst):
 
 def test_letter_at_constant_matches_expansion(paper_subst, thue_morse_3):
     for s in (paper_subst, thue_morse_3):
-        for a in s.alphabet:
-            for k in range(5):
-                word = (a,)
-                for _ in range(k):
-                    word = apply(s, word)
-                for n, expected in enumerate(word):
-                    assert letter_at_constant(s, k, a, n) == expected
+        assert_letter_at_constant_matches_expansion(s, 5)
 
 
 def test_letter_at_constant_huge_step(paper_subst):
@@ -499,33 +494,40 @@ def test_letter_at_threads_share_one_table():
     # the table grows under them a level at a time (LINEAR) or in jumps (fib)
     fib = parse_substitution(read_data("fib.subst"))[0]
     for s, k, length in ((fresh(LINEAR), 10 ** 9, 500), (fib, 14, 610)):
-        prefix = expand_fixed_point(s, length)
-        ranks = list(range(length))
-        orders = [ranks, ranks[::-1]] + [random.Random(i).sample(ranks, length) for i in (1, 2)]
-        answers = [None] * len(orders)
-
-        def query(i):
-            answers[i] = [(j, letter_at(s, None, k, j)) for j in orders[i]]
-
-        threads = [threading.Thread(target=query, args=(i,)) for i in range(len(orders))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for order, got in zip(orders, answers):
-            assert got == [(j, prefix[j]) for j in order]
+        assert_four_threads_agree(s, k, length)
         levels, lengths = s._lengths
         assert lengths == tuple(fixed_point_lengths(fresh(s), len(levels) - 1))
         assert lengths == tuple(level[s.initial] for level in levels)
         for below, level in zip(levels, levels[1:]):
             assert list(level) == substitution._level_above(s._rows, below)
         assert len(levels) <= substitution._KEPT_LEVELS + 1
+        assert s._block_table == fresh(s)._blocks()
+
+
+def assert_four_threads_agree(s, k, length):
+    """Four threads ask s for every letter of its k-th iterate (of ``length``
+    letters), each in its own order, and all get the expansion's letters."""
+    prefix = expand_fixed_point(fresh(s), length)
+    ranks = list(range(length))
+    orders = [ranks, ranks[::-1]] + [random.Random(i).sample(ranks, length) for i in (1, 2)]
+    answers = [None] * len(orders)
+
+    def query(i):
+        answers[i] = [(j, letter_at(s, None, k, j)) for j in orders[i]]
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for order, got in zip(orders, answers):
+        assert got == [(j, prefix[j]) for j in order]
 
 
 def test_warm_table_keeps_equality_hash_and_repr():
@@ -537,37 +539,52 @@ def test_warm_table_keeps_equality_hash_and_repr():
     assert repr(warm) == repr(cold)
 
 
-@pytest.mark.parametrize("bound", [0, 1, 5])
+@pytest.mark.parametrize("bound", [0, 1, 5, 64])
 def test_letter_at_in_every_block_regime(bound, monkeypatch):
-    # at the default bound the oracle iterates are read whole from the block
-    # table; small bounds make every query descend to a shallow table
+    # at the default bound the oracle iterates are read whole from the
+    # fixed-point table; small bounds give a short reach and a shallow block
+    # table, so most queries descend
     monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     for name in ("fib.subst", "threeletter.subst"):
         s, pad = parse_substitution(read_data(name))
         assert_letter_at_matches_oracles(s, pad)
-        assert s._blocks()[0] <= 1
+        assert_psi_matches_oracle(to_padded_machine(s, pad))
+        assert s._blocks()[0] <= (1 if bound <= 5 else 5)
+    assert_letter_at_constant_matches_expansion(
+        parse_substitution(read_data("threeletter.subst"))[0], 7)
 
     @given(padded_substitutions())
     def matches_oracles(subst):
         assert_letter_at_matches_oracles(*subst)
 
+    @given(constant_substitutions())
+    def constant_matches_expansion(s):
+        assert_letter_at_constant_matches_expansion(s, 5)
+
     matches_oracles()
+    constant_matches_expansion()
     for name, k in (("fib.subst", 12), ("threeletter.subst", 6)):
         test_letter_at_descending_then_ascending(name, k)
     test_letter_at_threads_share_one_table()
 
 
-def test_block_table_published_once():
+def test_block_table_published_once(monkeypatch):
+    # a short reach, so that the ranks fall on both sides of it
+    monkeypatch.setattr(substitution, "_BLOCK_LETTERS", 64)
     s, cold = fresh(LINEAR), fresh(LINEAR)
     assert s._block_table is None
     assert letter_at(s, None, 10 ** 9, 3) == "b"
     blocks = s._block_table
-    t = blocks[0]
-    prefix = expand_fixed_point(cold, 2001)
-    ranks = (2000, 0, t, t + 1, 5)  # past the table, in it, at its edge
+    t, _, _, offsets = blocks
+    reach = offsets[-1]
+    prefix = expand_fixed_point(cold, 201)
+    # past the reach, in the start letter's block, at its edge, at the reach
+    ranks = (200, 0, t, t + 1, 5, reach - 1, reach, reach + 1)
     assert [letter_at(s, None, 10 ** 9, j) for j in ranks] == [prefix[j] for j in ranks]
     assert s._block_table is blocks
     assert s._blocks() is blocks
+    assert_four_threads_agree(s, 10 ** 9, 500)
+    assert s._block_table is blocks
     assert s == cold and hash(s) == hash(cold) and repr(s) == repr(cold)
 
 
@@ -579,7 +596,7 @@ def test_block_table_build_is_bounded(s):
     # the bound counts the letters of every level built, so growth as slow
     # as LINEAR's still builds only O(bound) letters, in few levels
     s = fresh(s)
-    t, words = s._blocks()
+    t, words, prefix, offsets = s._blocks()
     bound = substitution._BLOCK_LETTERS
     levels = [[1] * len(s.alphabet)]
     for _ in range(t + 1):
@@ -587,6 +604,9 @@ def test_block_table_build_is_bounded(s):
     assert sum(map(sum, levels[:t + 1])) <= bound < sum(map(sum, levels))
     assert words == tuple(expand_iterate(s, a, t) for a in s.alphabet)
     assert sum(map(len, words)) <= bound
+    # and the fixed-point prefix and its offsets hold bound letters each
+    assert len(prefix) == bound and len(offsets) == bound + 1
+    assert offsets == tuple(accumulate((len(words[b]) for b in prefix), initial=0))
 
 
 def expand_iterate(s, a, t):
@@ -594,6 +614,100 @@ def expand_iterate(s, a, t):
     for _ in range(t):
         word = apply(s, word)
     return word
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 64])
+def test_letter_at_around_the_reach(bound, monkeypatch):
+    # below the reach a letter is read from the fixed-point table, from it
+    # on it is found by descent; both agree with the expansion, and an
+    # iterate that ends below the reach still ends where it ends
+    monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
+    data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
+    for s in data + [fresh(LINEAR), fresh(QUADRATIC)]:
+        t, words, prefix, offsets = s._blocks()
+        reach = offsets[-1]
+        assert len(prefix) == bound and len(offsets) == bound + 1
+        fixed = expand_fixed_point(s, reach + 2)
+        assert prefix == tuple(s.alphabet.index(a) for a in fixed[:bound])
+        lengths = fixed_point_lengths(s, 200)
+        deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
+        ranks = [j for j in (reach - 1, reach, reach + 1) if j >= 0]
+        for k in (deep, 10 ** 9):
+            assert [letter_at(s, None, k, j) for j in ranks] == [fixed[j] for j in ranks]
+        for k, length in enumerate(lengths[:deep]):
+            assert letter_at(s, None, k, length - 1) == fixed[length - 1]
+            with pytest.raises(DomainError, match="length %d" % length):
+                letter_at(s, None, k, length)
+
+
+def test_fixed_point_prefix_is_read_off_in_linear_time(monkeypatch):
+    # one image is read per letter of the prefix; expanding sigma^u(a) level
+    # by level would read about bound**2 / 2 images on LINEAR
+    reads = []
+
+    class CountedRows(tuple):
+        def __getitem__(self, a):
+            reads.append(a)
+            return tuple.__getitem__(self, a)
+
+    for bound in (600, substitution._BLOCK_LETTERS):
+        monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
+        s = fresh(LINEAR)
+        object.__setattr__(s, "_rows", CountedRows(s._rows))
+        reads.clear()
+        prefix = s._blocks()[2]
+        assert len(reads) <= bound + 3
+        # the fixed point reads a, then b at odd and c at even indices
+        assert prefix == (0,) + tuple(2 - j % 2 for j in range(1, bound))
+    assert prefix[:600] == tuple(LINEAR.alphabet.index(a) for a in expand_fixed_point(LINEAR, 600))
+
+
+# no letter starts its own image, so there is no fixed point to index
+ROTATING = Substitution(("a", "b", "c"), (("b", "a"), ("c", "b"), ("a", "c")), ("0",), ("0",) * 3, 0)
+
+
+@pytest.mark.parametrize("bound", [5, 64, None])
+def test_no_fixed_point_builds_an_empty_prefix(bound, monkeypatch):
+    if bound is not None:
+        monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
+    s = fresh(ROTATING)
+    blocks = s._blocks()
+    t, words, prefix, offsets = blocks
+    assert (prefix, offsets) == ((), (0,))
+    with pytest.raises(DomainError, match="no fixed point"):
+        letter_at(s, None, 1, 0)
+    # steps below, at and well past the depth of the block table
+    assert_letter_at_constant_matches_expansion(s, t + 6)
+    # 10**9 - (t + 1) leading zeros take a around a -> b -> c -> a
+    word = expand_iterate(s, s.alphabet[(10 ** 9 - t - 1) % 3], t + 1)
+    assert tuple(letter_at_constant(s, 10 ** 9, "a", n) for n in range(len(word))) == word
+    assert s._block_table is blocks
+
+
+@st.composite
+def constant_substitutions(draw):
+    """A random constant-length substitution, with or without a fixed point."""
+    size = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 3))
+    alphabet = tuple("abcd"[:size])
+    letter = st.sampled_from(alphabet)
+    rules = tuple(tuple(draw(st.lists(letter, min_size=q, max_size=q))) for _ in alphabet)
+    return Substitution(alphabet, rules, ("0",), ("0",) * size, draw(st.integers(0, size - 1)))
+
+
+def assert_letter_at_constant_matches_expansion(s, steps):
+    """letter_at_constant agrees with the iterated images of every letter at
+    every index, for each step below ``steps``."""
+    for a in s.alphabet:
+        word = (a,)
+        for k in range(steps):
+            assert tuple(letter_at_constant(s, k, a, n) for n in range(len(word))) == word
+            word = apply(s, word)
+
+
+@given(constant_substitutions())
+def test_letter_at_constant_matches_expansion_random(s):
+    assert_letter_at_constant_matches_expansion(s, 5)
 
 
 @pytest.mark.parametrize("templates", [
