@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 
 from .machine import Counterexample, DomainError, MooreMachine, _reachable, trim
 
@@ -105,7 +104,9 @@ def states_equivalent(m: MooreMachine, a, b) -> bool:
     # A product search, not the refinement minimize uses, so the tests can
     # hold minimize to an independent algorithm.
     a, b = m.state_index(a), m.state_index(b)
-    return equivalent(replace(m, initial=a), replace(m, initial=b)) is True
+    fields = (m.states, m.input_count, m.outputs, m.transition, m.output_map)
+    return equivalent(MooreMachine(*fields, a, m.input_names),
+                      MooreMachine(*fields, b, m.input_names)) is True
 
 
 def isomorphic(m1: MooreMachine, m2: MooreMachine):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 
 class ParseError(ValueError):
@@ -14,8 +13,49 @@ class DomainError(ValueError):
     """An operation was called outside its domain (bad state, symbol, ...)."""
 
 
-@dataclass(frozen=True)
-class MooreMachine:
+class _Value:
+    """Base of the immutable value classes.
+
+    Each subclass names its fields in ``_fields`` and returns their values,
+    in that order, from ``_key()``: an explicit tuple, which reads slots
+    faster than a loop of getattr.  Equality, hashing, repr and pickling go
+    by it, so further slots a subclass declares are left out.  Constructors
+    set their slots with ``object.__setattr__``; any other assignment or
+    deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            ["%s=%r" % field for field in zip(self._fields, self._key())]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+def _check_int(value, what: str):
+    """Raise DomainError unless value is an int (a bool is one)."""
+    if not isinstance(value, int):
+        raise DomainError("%s must be an integer, not %r" % (what, value))
+
+
+class MooreMachine(_Value):
     """A deterministic machine: states, inputs 0..q-1, outputs, delta, lambda, initial.
 
     States are opaque name tokens; their positions in ``states`` are the
@@ -23,18 +63,29 @@ class MooreMachine:
     are immutable and hashable, so they can be shared freely.
     """
 
+    __slots__ = _fields = ("states", "input_count", "outputs", "transition", "output_map",
+                           "initial", "input_names")
     states: tuple[str, ...]
     input_count: int
     outputs: tuple[str, ...]
     transition: tuple[tuple[int, ...], ...]  # transition[s][j] = delta(s, j)
     output_map: tuple[str, ...]              # output_map[s] = lambda(s)
     initial: int
-    input_names: tuple[str, ...] | None = None
+    input_names: tuple[str, ...] | None
 
-    def __post_init__(self):
+    def __init__(self, states, input_count, outputs, transition, output_map, initial,
+                 input_names=None):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "input_count", input_count)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "output_map", output_map)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "input_names", input_names)
         n, q = len(self.states), self.input_count
         if n < 1:
             raise DomainError("machine needs at least one state")
+        _check_int(q, "input count")
         if q < 1:
             raise DomainError("machine needs at least one input symbol")
         if len(set(self.states)) != n:
@@ -43,21 +94,27 @@ class MooreMachine:
             raise DomainError("empty output alphabet")
         if len(set(self.outputs)) != len(self.outputs):
             raise DomainError("duplicate output symbols")
-        if len(self.transition) != n or any(len(row) != q for row in self.transition):
+        if len(self.transition) != n or set(map(len, self.transition)) != {q}:
             raise DomainError("transition table must be %d x %d" % (n, q))
         for row in self.transition:
             for t in row:
-                if not 0 <= t < n:
+                if not isinstance(t, int) or not 0 <= t < n:
+                    _check_int(t, "transition target")
                     raise DomainError("transition target %r out of range" % (t,))
         if len(self.output_map) != n:
             raise DomainError("output map must cover every state")
         for sym in self.output_map:
             if sym not in self.outputs:
                 raise DomainError("output %r not declared" % (sym,))
+        _check_int(self.initial, "initial state")
         if not 0 <= self.initial < n:
             raise DomainError("initial state out of range")
         if self.input_names is not None and len(self.input_names) != q:
             raise DomainError("expected %d input names" % q)
+
+    def _key(self):
+        return (self.states, self.input_count, self.outputs, self.transition,
+                self.output_map, self.initial, self.input_names)
 
     @property
     def n(self) -> int:
@@ -78,17 +135,23 @@ class MooreMachine:
         return self.input_names[j] if self.input_names else str(j)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Value):
     """A word on which two compared machines give different outputs."""
 
+    __slots__ = _fields = ("word", "left_output", "right_output")
     word: tuple[int, ...]
     left_output: str
     right_output: str
 
-    def __post_init__(self):
+    def __init__(self, word, left_output, right_output):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "left_output", left_output)
+        object.__setattr__(self, "right_output", right_output)
         if self.left_output == self.right_output:
             raise DomainError("not a counterexample: outputs agree")
+
+    def _key(self):
+        return (self.word, self.left_output, self.right_output)
 
 
 # --- words ----------------------------------------------------------------

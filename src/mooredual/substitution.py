@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .equivalence import minimize
@@ -11,8 +10,10 @@ from .machine import (
     DomainError,
     MooreMachine,
     ParseError,
+    _check_int,
     _check_tokens,
     _meaningful_lines,
+    _Value,
 )
 
 SINK_STATE = "ω"    # absorbing padding state; not usable as a letter
@@ -22,8 +23,7 @@ SLOT = "_"          # padding-template token: receives the next image letter
 OMEGA = "w"         # padding-template token: a padding position
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Value):
     """A free-monoid endomorphism with an output projection and a start letter.
 
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
@@ -41,13 +41,20 @@ class Substitution:
     k - t digits for step k >= t.
     """
 
+    _fields = ("alphabet", "rules", "outputs", "projection", "initial")
+    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_lengths", "_block_table")
     alphabet: tuple[str, ...]
     rules: tuple[tuple[str, ...], ...]
     outputs: tuple[str, ...]
     projection: tuple[str, ...]
     initial: int
 
-    def __post_init__(self):
+    def __init__(self, alphabet, rules, outputs, projection, initial):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "initial", initial)
         n = len(self.alphabet)
         if n < 1:
             raise DomainError("substitution needs at least one letter")
@@ -73,6 +80,7 @@ class Substitution:
         for sym in self.projection:
             if sym not in self.outputs:
                 raise DomainError("projection value %r not declared" % (sym,))
+        _check_int(self.initial, "initial letter")
         if not 0 <= self.initial < n:
             raise DomainError("initial letter out of range")
         object.__setattr__(self, "q", max(map(len, self.rules)))
@@ -85,6 +93,9 @@ class Substitution:
         object.__setattr__(self, "_pad_shape", shape)
         object.__setattr__(self, "_lengths", (((1,) * n,), (1,)))
         object.__setattr__(self, "_block_table", None)
+
+    def _key(self):
+        return (self.alphabet, self.rules, self.outputs, self.projection, self.initial)
 
     def _publish_lengths(self, levels):
         """Make ``levels`` (level 0 first) the table of iterate lengths, with
@@ -155,17 +166,19 @@ class Substitution:
         return self.rules[self.letter_index(a)]
 
 
-@dataclass(frozen=True)
-class PaddingSpec:
+class PaddingSpec(_Value):
     """Where the padding positions sit in each image brought up to length q.
 
     One template per letter, tokens SLOT/OMEGA; slots, read left to right,
     receive the letters of the image in order.
     """
 
+    _fields = ("templates",)
+    __slots__ = _fields + ("_shape",)
     templates: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, templates):
+        object.__setattr__(self, "templates", templates)
         # (length, slots, padding positions) per template, kept only when the
         # templates are tuples of strings, which cannot change or fail to
         # compare; validate then passes at once if it equals the shape the
@@ -178,6 +191,9 @@ class PaddingSpec:
             shape = tuple([(len(tpl), tpl.count(SLOT), tpl.count(OMEGA))
                            for tpl in self.templates])
         object.__setattr__(self, "_shape", shape)
+
+    def _key(self):
+        return (self.templates,)
 
     @classmethod
     def default(cls, s: Substitution) -> "PaddingSpec":
@@ -210,12 +226,19 @@ def _check_template(a, img, tpl, q: int):
         raise DomainError("template for %r must have exactly %d slots" % (a, len(img)))
 
 
-@dataclass(frozen=True)
-class PaddedMachine:
+class PaddedMachine(_Value):
     """The machine of a substitution over its alphabet plus an absorbing sink."""
 
+    __slots__ = _fields = ("machine", "sink")
     machine: MooreMachine
     sink: int
+
+    def __init__(self, machine, sink):
+        object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "sink", sink)
+
+    def _key(self):
+        return (self.machine, self.sink)
 
 
 # --- letter words -----------------------------------------------------------

@@ -1,0 +1,169 @@
+"""Value semantics of the five immutable classes, and their field types."""
+
+import copy
+import pickle
+
+import pytest
+
+from mooredual import (
+    Counterexample,
+    DomainError,
+    MooreMachine,
+    PaddedMachine,
+    PaddingSpec,
+    Substitution,
+    letter_at,
+    letter_at_constant,
+    to_padded_machine,
+)
+
+MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
+               transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
+               input_names=("x", "y"))
+SUBST = dict(alphabet=("a", "b"), rules=(("a", "b"), ("a",)), outputs=("0", "1"),
+             projection=("0", "1"), initial=0)
+CONSTANT = dict(SUBST, rules=(("a", "b"), ("b", "a")))
+
+
+def substitution(**changes):
+    return Substitution(**dict(SUBST, **changes))
+
+
+def make(cls):
+    """A fresh instance of cls and its field values, in declaration order."""
+    if cls is MooreMachine:
+        fields = MACHINE
+    elif cls is Counterexample:
+        fields = dict(word=(0, 1), left_output="0", right_output="1")
+    elif cls is Substitution:
+        fields = SUBST
+    elif cls is PaddingSpec:
+        fields = dict(templates=(("_", "_"), ("_", "w")))
+    else:
+        fields = dict(machine=to_padded_machine(substitution()).machine, sink=2)
+    return cls(**fields), fields
+
+
+CLASSES = [MooreMachine, Counterexample, Substitution, PaddingSpec, PaddedMachine]
+
+REPRS = {
+    MooreMachine: "MooreMachine(states=('a', 'b'), input_count=2, outputs=('0', '1'), "
+                  "transition=((1, 0), (0, 1)), output_map=('0', '1'), initial=0, "
+                  "input_names=('x', 'y'))",
+    Counterexample: "Counterexample(word=(0, 1), left_output='0', right_output='1')",
+    Substitution: "Substitution(alphabet=('a', 'b'), rules=(('a', 'b'), ('a',)), "
+                  "outputs=('0', '1'), projection=('0', '1'), initial=0)",
+    PaddingSpec: "PaddingSpec(templates=(('_', '_'), ('_', 'w')))",
+    PaddedMachine: "PaddedMachine(machine=MooreMachine(states=('a', 'b', 'ω'), "
+                   "input_count=2, outputs=('0', '1', '⊥'), "
+                   "transition=((0, 1), (0, 2), (2, 2)), output_map=('0', '1', '⊥'), "
+                   "initial=0, input_names=None), sink=2)",
+}
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_repr_names_every_field_in_order(cls):
+    value, _ = make(cls)
+    assert repr(value) == REPRS[cls]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_equal_values_hash_equal_and_differ_from_tuples(cls):
+    value, fields = make(cls)
+    other, _ = make(cls)
+    assert value == other and not value != other
+    assert hash(value) == hash(other)
+    as_tuple = tuple(fields.values())
+    assert value != as_tuple and as_tuple != value
+    assert value.__eq__(as_tuple) is NotImplemented
+    assert {value: 1}[other] == 1
+
+
+def test_a_field_changes_equality():
+    m, _ = make(MooreMachine)
+    assert m != MooreMachine(**dict(MACHINE, initial=1))
+    assert m != MooreMachine(**dict(MACHINE, input_names=None))
+    assert substitution() != substitution(projection=("0", "0"))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    value, fields = make(cls)
+    for name in list(fields) + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == REPRS[cls]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda v: pickle.loads(pickle.dumps(v)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_are_equal(cls, clone):
+    value, _ = make(cls)
+    twin = clone(value)
+    assert type(twin) is cls
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda v: pickle.loads(pickle.dumps(v)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_warm_substitution_copies_give_the_same_letters(clone):
+    warm = Substitution(**CONSTANT)
+    letters = [letter_at(warm, None, 6, j) for j in range(64)]
+    assert warm._block_table is not None
+    twin = clone(warm)
+    assert twin == warm
+    assert [letter_at(twin, None, 6, j) for j in range(64)] == letters
+    assert [letter_at_constant(twin, 6, 0, j) for j in range(64)] == letters
+
+
+def test_substitution_identity_ignores_its_index_data():
+    cold = substitution()
+    warm = substitution()
+    letter_at(warm, None, 30, 10 ** 5)
+    assert warm._block_table is not None and cold._block_table is None
+    assert len(warm._lengths[0]) > len(cold._lengths[0])
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold) == REPRS[Substitution]
+
+
+# --- field types ------------------------------------------------------------
+
+@pytest.mark.parametrize("changes, message", [
+    ({"input_count": 2.0}, "input count must be an integer"),
+    ({"input_count": "2"}, "input count must be an integer"),
+    ({"initial": 0.0}, "initial state must be an integer"),
+    ({"initial": None}, "initial state must be an integer"),
+    ({"transition": (("1", 0), (0, 1))}, "transition target must be an integer"),
+    ({"transition": ((1, 0), (0, 1.0))}, "transition target must be an integer"),
+    ({"transition": ((1, 0), (None, 1))}, "transition target must be an integer"),
+], ids=["count-float", "count-str", "initial-float", "initial-none", "target-str",
+        "target-float", "target-none"])
+def test_machine_fields_must_be_integers(changes, message):
+    with pytest.raises(DomainError, match=message):
+        MooreMachine(**dict(MACHINE, **changes))
+
+
+@pytest.mark.parametrize("initial", [0.0, "0", None])
+def test_substitution_initial_must_be_an_integer(initial):
+    with pytest.raises(DomainError, match="initial letter must be an integer"):
+        substitution(initial=initial)
+
+
+def test_bools_are_integers():
+    m = MooreMachine(**dict(MACHINE, input_count=True, transition=((True,), (False,)),
+                            initial=False, input_names=None))
+    assert m == MooreMachine(**dict(MACHINE, input_count=1, transition=((1,), (0,)),
+                                    initial=0, input_names=None))
+    assert substitution(initial=False) == substitution()
+    with pytest.raises(DomainError, match="out of range"):
+        MooreMachine(**dict(MACHINE, transition=((2, 0), (0, 1))))
