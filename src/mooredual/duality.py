@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .machine import DomainError, MooreMachine, trim
+from .machine import DomainError, MooreMachine, _check_int, trim
 
 # Default budget of a closure; that many vectors over 40 states take about 150 MB.
 MAX_DUAL_STATES = 2 ** 18
@@ -28,6 +28,7 @@ def dual_with_vectors(m: MooreMachine, max_states: int = MAX_DUAL_STATES):
     one with more than ``max_states`` is a DomainError, raised once the
     closure finds that many.
     """
+    _check_int(max_states, "the state budget")
     if max_states < 1:
         raise DomainError("the state budget must be at least 1, not %d" % max_states)
     mt = trim(m)

@@ -109,8 +109,11 @@ class MooreMachine(_Value):
         _check_int(self.initial, "initial state")
         if not 0 <= self.initial < n:
             raise DomainError("initial state out of range")
-        if self.input_names is not None and len(self.input_names) != q:
-            raise DomainError("expected %d input names" % q)
+        if self.input_names is not None:
+            if len(self.input_names) != q:
+                raise DomainError("expected %d input names" % q)
+            if len(set(self.input_names)) != q:
+                raise DomainError("duplicate input names")
 
     def _key(self):
         return (self.states, self.input_count, self.outputs, self.transition,
@@ -127,7 +130,8 @@ class MooreMachine(_Value):
                 return self.states.index(s)
             except ValueError:
                 raise DomainError("unknown state %r" % s) from None
-        if not 0 <= s < self.n:
+        if not isinstance(s, int) or not 0 <= s < self.n:
+            _check_int(s, "state index")
             raise DomainError("state index %r out of range" % (s,))
         return s
 

@@ -28,21 +28,14 @@ class Substitution(_Value):
 
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
     ``q`` is the longest image length, the input base of the associated
-    machine.  Besides ``q``, each instance carries its index data, which
-    equality, hashing and repr ignore: the rules as letter indices, the
-    shape every padding template must have, a table of iterate lengths
-    (level r holds |sigma^r(a)| for every letter a), grown by ``letter_at``
-    up to _KEPT_LEVELS + 1 levels, and a block table, built by the first
-    ``letter_at`` or ``letter_at_constant``: a depth t, the words sigma^t(a)
-    for every letter a, and the first _BLOCK_LETTERS letters of the fixed
-    point with the offsets of their blocks sigma^t.  A warm ``letter_at``
-    below the reach of those blocks is one bisection; past it, r - t
-    descent levels for the r-th iterate.  ``letter_at_constant`` walks
-    k - t digits for step k >= t.
+    machine.  Besides ``q``, each instance carries index data that equality,
+    hashing and repr ignore: the rules as letter indices, the shape every
+    padding template must have, and the block table (see ``_blocks``),
+    built by the first ``letter_at`` or ``letter_at_constant``.
     """
 
     _fields = ("alphabet", "rules", "outputs", "projection", "initial")
-    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_lengths", "_block_table")
+    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_block_table")
     alphabet: tuple[str, ...]
     rules: tuple[tuple[str, ...], ...]
     outputs: tuple[str, ...]
@@ -91,37 +84,26 @@ class Substitution(_Value):
         q = self.q
         shape = tuple([(q, len(img), q - len(img)) for img in self.rules])
         object.__setattr__(self, "_pad_shape", shape)
-        object.__setattr__(self, "_lengths", (((1,) * n,), (1,)))
         object.__setattr__(self, "_block_table", None)
 
     def _key(self):
         return (self.alphabet, self.rules, self.outputs, self.projection, self.initial)
 
-    def _publish_lengths(self, levels):
-        """Make ``levels`` (level 0 first) the table of iterate lengths, with
-        its start-letter column, unless a longer one is already in place.
-
-        The table is never changed in place: a longer one replaces it in one
-        attribute store, so a concurrent reader sees the old or the new.
-        """
-        if len(levels) > len(self._lengths[0]):
-            column = tuple([level[self.initial] for level in levels])
-            object.__setattr__(self, "_lengths", (tuple(levels), column))
-
     def _blocks(self):
-        """The block table ``(t, words, prefix, offsets)``.
+        """The block table ``(t, words, prefix, offsets, column)``.
 
         ``words[a]`` is sigma^t(a) as letter names, for the deepest t whose
         levels 0..t hold at most _BLOCK_LETTERS letters together (level 0
         always).  ``prefix`` is the first _BLOCK_LETTERS letters of the fixed
         point, as letter indices (empty without a fixed point), and
-        ``offsets[i]`` is where sigma^t(prefix[i]) starts in the fixed point,
-        which sigma^t maps to itself; the last offset, |sigma^t(prefix)|, is
-        the reach below which a letter is read from the table.
+        ``offsets[i]`` is where sigma^t(prefix[i]) starts in it; the last
+        offset is the reach below which ``letter_at`` reads the table.
+        ``column[r]`` is |sigma^r(start)|, up to the first r whose iterate
+        reaches that far: iterates of a fixed point strictly grow, so at most
+        reach + 1 entries ((1,) without a fixed point).
 
-        Built on first use and published in one attribute store, as the table
-        of iterate lengths is; so the build costs O(_BLOCK_LETTERS) however
-        slowly the iterates grow, and threads may share it.
+        Built on first use and published in one attribute store, so threads
+        may share it.
         """
         blocks = self._block_table
         if blocks is None:
@@ -147,8 +129,12 @@ class Substitution(_Value):
                     prefix += rows[prefix[i]]
                     i += 1
                 del prefix[_BLOCK_LETTERS:]
-            offsets = accumulate([len(words[b]) for b in prefix], initial=0)
-            blocks = (depth, tuple(words), tuple(prefix), tuple(offsets))
+            offsets = tuple(accumulate([len(words[b]) for b in prefix], initial=0))
+            level, column = [1] * len(rows), [1]
+            while column[-1] < offsets[-1]:
+                level = _level_above(rows, level)
+                column.append(level[start])
+            blocks = (depth, tuple(words), tuple(prefix), offsets, tuple(column))
             object.__setattr__(self, "_block_table", blocks)
         return blocks
 
@@ -158,7 +144,8 @@ class Substitution(_Value):
                 return self.alphabet.index(a)
             except ValueError:
                 raise DomainError("unknown letter %r" % a) from None
-        if not 0 <= a < len(self.alphabet):
+        if not isinstance(a, int) or not 0 <= a < len(self.alphabet):
+            _check_int(a, "letter index")
             raise DomainError("letter index %r out of range" % (a,))
         return a
 
@@ -354,7 +341,7 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     if k < 0 or not 0 <= n < q ** min(k, n.bit_length()):  # n < q**k
         raise DomainError("index %d out of range for step %d" % (n, k))
     rows = s._rows
-    t, words, _, _ = s._block_table or s._blocks()
+    t, words, _, _, _ = s._block_table or s._blocks()
     low = None
     if k >= t:
         n, low = divmod(n, len(words[0]))  # every sigma^t(b) has q**t letters
@@ -399,7 +386,7 @@ _BLOCK_LETTERS = 4096  # letters a block table may build, over all its levels
 
 
 def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
-            digits: list | None = None, levels: list | None = None, stop: int = 0):
+            digits: list | None = None, stop: int = 0):
     """Unrank by count and descent (Dumont-Thomas numeration).
 
     Level r of the table counts, per state a, the r-digit strings (most
@@ -414,23 +401,17 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
     most significant first and without leading zeros, are appended to
     ``digits`` if given.
 
-    ``levels``, if given, holds the first levels (level 0 first, at most
-    _KEPT_LEVELS + 1 of them, and no deeper than ``limit``): counting goes
-    on from its last, and appends to it while every level is kept.
-
     Iterates that grow only polynomially need about one level per unit of
     rank.  So beyond _KEPT_LEVELS levels only every gap-th level is kept,
     the gap doubling whenever more than max(_KEPT_LEVELS, gap) are kept, and
     the descent recounts each block of gap levels from its first: for L
     levels, O(sqrt(L)) levels in memory and at most twice the counting.
     """
-    if levels is None:
-        levels = [[int(a != sink) for a in range(len(rows))]]
-    kept, gap, depth = levels, 1, len(levels) - 1  # kept[i] is level i * gap
-    level = kept[-1]
+    level = [int(a != sink) for a in range(len(rows))]
+    kept, gap, depth = [level], 1, 0  # kept[i] is level i * gap
     while level[start] <= rank and (limit is None or depth < limit):
         if len(kept) > _KEPT_LEVELS and len(kept) > gap:
-            kept = kept[::2]  # a new list: ``levels`` keeps every level
+            kept = kept[::2]
             gap *= 2
         below, level = level, []
         for row in rows:  # _level_above inlined: a call per level costs a third more
@@ -503,12 +484,9 @@ def psi(pm: PaddedMachine, n: int):
 
 
 def fixed_point_lengths(s: Substitution, k: int) -> list[int]:
-    """Lengths of the first k+1 iterates of the start letter: read from the
-    substitution's table of iterate lengths, then counted on past it."""
-    levels, lengths = s._lengths
-    lengths = list(lengths[:max(k, 0) + 1])
-    level = levels[len(lengths) - 1]
-    while len(lengths) <= k:  # past the table
+    """Lengths of the first k+1 iterates of the start letter."""
+    level, lengths = [1] * len(s.alphabet), [1]
+    for _ in range(k):
         level = _level_above(s._rows, level)
         lengths.append(level[s.initial])
     return lengths
@@ -518,36 +496,26 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     """Letter j of the k-th iterate of the start letter, via the numeration.
 
     Every iterate is a prefix of the fixed point, so below the reach of the
-    block table (at most _BLOCK_LETTERS entries of the fixed point, each
-    indexing sigma^t of its letter) an index inside the k-th iterate is
-    read with one bisection of the table's offsets.  Past the reach, it is
-    the letter the padded machine reaches on psi(j), found on the rule
-    rows: padding adds only sink entries, which count no words.  The
-    descent starts at the first iterate longer than j, found by bisection
-    in the substitution's table of iterate lengths (counted on, and the
-    table grown, when it is too short), and ends at the depth t of the
-    block table, in a read of the word sigma^t of the letter reached: r - t
-    levels for the r-th iterate, O(min(k, log j) * |A| * q) when the
-    iterates grow exponentially.
+    block table an index inside the k-th iterate (by the table's column of
+    iterate lengths) is read with one bisection of its offsets.  Otherwise
+    it is the letter the padded machine reaches on psi(j), found on the rule
+    rows: padding adds only sink entries, which count no words.  The count
+    stops at the first iterate longer than j, or at k, and the descent ends
+    at the depth t of the block table, in a read of sigma^t of the letter
+    reached: O(min(k, log j) * |A| * q) when the iterates grow
+    exponentially.
     """
     check_fixed_point(s)
     if k < 0:
         raise DomainError("negative iteration count")
     if j < 0:
         raise DomainError("index %d out of range for step %d" % (j, k))
-    levels, lengths = s._lengths
-    top = min(k, len(lengths) - 1)
-    t, words, prefix, offsets = s._block_table or s._blocks()
-    if j < offsets[-1] and j < lengths[top]:
+    t, words, prefix, offsets, column = s._block_table or s._blocks()
+    if j < offsets[-1] and j < column[min(k, len(column) - 1)]:
         i = bisect_right(offsets, j) - 1
         letter = words[prefix[i]][j - offsets[i]]
     else:
-        # the first tabled iterate longer than j, if it is at most k
-        r = bisect_right(lengths, j, 0, top)
-        seed = list(levels[:r + 1])
-        length, state, rank = _unrank(s._rows, s.initial, j, limit=k, levels=seed, stop=t)
-        if len(seed) > len(levels):
-            s._publish_lengths(seed)
+        length, state, rank = _unrank(s._rows, s.initial, j, limit=k, stop=t)
         if state is None:
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
         letter = words[state][rank]

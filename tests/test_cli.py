@@ -117,8 +117,7 @@ DOT_NAME = st.text(st.one_of(st.sampled_from('"\\/'), st.characters(exclude_cate
 DOT_NAME_PAIRS = st.lists(DOT_NAME, min_size=2, max_size=2, unique=True).map(tuple)
 
 
-@given(DOT_NAME_PAIRS, DOT_NAME_PAIRS,
-       st.none() | st.lists(DOT_NAME, min_size=2, max_size=2).map(tuple))
+@given(DOT_NAME_PAIRS, DOT_NAME_PAIRS, st.none() | DOT_NAME_PAIRS)
 def test_dot_quotes_every_string(states, outputs, inputs):
     m = MooreMachine(states, 2, outputs, ((1, 0), (1, 1)), outputs, 0, inputs)
     text = to_dot(m)

@@ -111,6 +111,10 @@ def test_dual_state_budget(paper):
         dual(paper, max_states=3)
     with pytest.raises(DomainError, match="at least 1"):
         dual(paper, max_states=0)
+    # a budget that no count of states equals would never trip
+    for budget in (1.5, 4.0, None, "4"):
+        with pytest.raises(DomainError, match="budget must be an integer"):
+            dual(paper, max_states=budget)
 
 
 def test_dual_swaps_reading_direction(paper):

@@ -107,6 +107,16 @@ def test_named_inputs_round_trip():
     assert parse_machine(emit_machine(m)) == m
 
 
+def test_repeated_input_names_are_refused_as_in_the_text():
+    # the constructor refuses what parse_machine refuses, so that emit has
+    # no machine to write that would not read back
+    with pytest.raises(DomainError, match="duplicate input names"):
+        MooreMachine(("s",), 2, ("0",), ((0, 0),), ("0",), 0, input_names=("x", "x"))
+    with pytest.raises(ParseError, match="duplicate input name"):
+        parse_machine("moore v1\ninputs x x\noutputs 0\nstate s 0\ninitial s\n"
+                      "trans s x s\n")
+
+
 def test_comments_ignored(paper):
     text = "# top comment\n" + emit_machine(paper).replace(
         "initial i", "initial i  # the start"

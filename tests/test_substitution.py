@@ -38,8 +38,7 @@ from conftest import base_digits, language_words, read_data, substitutions_isomo
 
 
 def fresh(s):
-    """An equal substitution whose tables of iterate lengths and blocks are
-    still empty."""
+    """An equal substitution whose block table is still unbuilt."""
     return Substitution(s.alphabet, s.rules, s.outputs, s.projection, s.initial)
 
 
@@ -429,7 +428,7 @@ LINEAR = Substitution(("a", "b", "c"), (("a", "b"), ("c",), ("b",)), ("0",), ("0
 
 def test_letter_at_linear_growth_in_bounded_memory():
     # one count row per level took 41 MB here; the kept levels grow as sqrt(j),
-    # and the table the substitution keeps stops at _KEPT_LEVELS + 1 levels
+    # and the substitution keeps nothing but its block table
     s = fresh(LINEAR)
     tracemalloc.start()
     try:
@@ -439,7 +438,7 @@ def test_letter_at_linear_growth_in_bounded_memory():
         tracemalloc.stop()
     assert letter == "c"
     assert peak < 4 * 2 ** 20
-    assert len(s._lengths[0]) == substitution._KEPT_LEVELS + 1
+    assert s._block_table == fresh(LINEAR)._blocks()
 
 
 @pytest.mark.parametrize("kept", [1, 2, 3])
@@ -458,7 +457,8 @@ def test_unrank_recounts_blocks_exactly(kept, monkeypatch):
     linear = fresh(LINEAR)
     prefix = expand_fixed_point(linear, 300)
     assert tuple(letter_at(linear, None, 10 ** 9, j) for j in range(300)) == prefix
-    assert len(linear._lengths[0]) == kept + 1
+    # past the reach of the block table, letter_at descends through the gaps too
+    assert letter_at(linear, None, 10 ** 9, 5001) == "b"
     assert_psi_matches_oracle(to_padded_machine(linear))
     assert_letter_at_matches_oracles(parse_substitution(read_data("fib.subst"))[0], None)
     s, pad = parse_substitution(read_data("threeletter.subst"))
@@ -469,21 +469,19 @@ def test_unrank_recounts_blocks_exactly(kept, monkeypatch):
 
 @pytest.mark.parametrize("name, k", [("fib.subst", 12), ("threeletter.subst", 6)])
 def test_letter_at_descending_then_ascending(name, k):
-    # the deepest query grows the table at once, later ones only read it
+    # the first query builds the block table, later ones only read it
     for s in (parse_substitution(read_data(name))[0], fresh(LINEAR)):
         length = fixed_point_lengths(s, k)[k]
         prefix = expand_fixed_point(s, length)
         assert letter_at(s, None, k, 1) == prefix[1]
-        table = s._lengths
+        table = s._block_table
         snapshot = copy.deepcopy(table)
         assert [letter_at(s, None, k, j) for j in reversed(range(length))] == list(prefix[::-1])
-        grown = s._lengths
-        assert grown is not table and table == snapshot  # replaced, never changed
         assert [letter_at(s, None, k, j) for j in range(length)] == list(prefix)
-        assert s._lengths is grown
+        assert s._block_table is table and table == snapshot  # never changed
         with pytest.raises(DomainError, match="length %d" % length):
             letter_at(s, None, k, length)
-        # a table deeper than k leaves the range of step k as it was
+        # a column of lengths deeper than k leaves the range of step k as it was
         shorter = fixed_point_lengths(s, k - 1)[k - 1]
         with pytest.raises(DomainError, match="length %d" % shorter):
             letter_at(s, None, k - 1, length - 1)
@@ -491,16 +489,10 @@ def test_letter_at_descending_then_ascending(name, k):
 
 def test_letter_at_threads_share_one_table():
     # four threads on one fresh substitution, each in its own order, while
-    # the table grows under them a level at a time (LINEAR) or in jumps (fib)
+    # the block table is built under them
     fib = parse_substitution(read_data("fib.subst"))[0]
     for s, k, length in ((fresh(LINEAR), 10 ** 9, 500), (fib, 14, 610)):
         assert_four_threads_agree(s, k, length)
-        levels, lengths = s._lengths
-        assert lengths == tuple(fixed_point_lengths(fresh(s), len(levels) - 1))
-        assert lengths == tuple(level[s.initial] for level in levels)
-        for below, level in zip(levels, levels[1:]):
-            assert list(level) == substitution._level_above(s._rows, below)
-        assert len(levels) <= substitution._KEPT_LEVELS + 1
         assert s._block_table == fresh(s)._blocks()
 
 
@@ -533,7 +525,7 @@ def assert_four_threads_agree(s, k, length):
 def test_warm_table_keeps_equality_hash_and_repr():
     warm, cold = fresh(LINEAR), fresh(LINEAR)
     assert letter_at(warm, None, 10 ** 9, 500) == "c"
-    assert len(warm._lengths[0]) > len(cold._lengths[0])
+    assert warm._block_table is not None and cold._block_table is None
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
@@ -575,7 +567,7 @@ def test_block_table_published_once(monkeypatch):
     assert s._block_table is None
     assert letter_at(s, None, 10 ** 9, 3) == "b"
     blocks = s._block_table
-    t, _, _, offsets = blocks
+    t, _, _, offsets, _ = blocks
     reach = offsets[-1]
     prefix = expand_fixed_point(cold, 201)
     # past the reach, in the start letter's block, at its edge, at the reach
@@ -596,7 +588,7 @@ def test_block_table_build_is_bounded(s):
     # the bound counts the letters of every level built, so growth as slow
     # as LINEAR's still builds only O(bound) letters, in few levels
     s = fresh(s)
-    t, words, prefix, offsets = s._blocks()
+    t, words, prefix, offsets, _ = s._blocks()
     bound = substitution._BLOCK_LETTERS
     levels = [[1] * len(s.alphabet)]
     for _ in range(t + 1):
@@ -607,6 +599,22 @@ def test_block_table_build_is_bounded(s):
     # and the fixed-point prefix and its offsets hold bound letters each
     assert len(prefix) == bound and len(offsets) == bound + 1
     assert offsets == tuple(accumulate((len(words[b]) for b in prefix), initial=0))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 64, None])
+def test_block_table_column_stops_at_the_reach(bound, monkeypatch):
+    # column[r] = |sigma^r(start)|, strictly growing, up to the first iterate
+    # that reaches as far as the table; (1,) without a fixed point
+    if bound is not None:
+        monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
+    data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
+    for s in data + [LINEAR, QUADRATIC]:
+        offsets, column = fresh(s)._blocks()[3:]
+        reach = offsets[-1]
+        assert all(a < b for a, b in zip(column, column[1:]))
+        assert list(column) == fixed_point_lengths(s, len(column) - 1)
+        assert column[-1] >= reach and all(length < reach for length in column[:-1])
+    assert fresh(ROTATING)._blocks()[4] == (1,)
 
 
 def expand_iterate(s, a, t):
@@ -624,7 +632,7 @@ def test_letter_at_around_the_reach(bound, monkeypatch):
     monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
     for s in data + [fresh(LINEAR), fresh(QUADRATIC)]:
-        t, words, prefix, offsets = s._blocks()
+        t, words, prefix, offsets, _ = s._blocks()
         reach = offsets[-1]
         assert len(prefix) == bound and len(offsets) == bound + 1
         fixed = expand_fixed_point(s, reach + 2)
@@ -672,8 +680,8 @@ def test_no_fixed_point_builds_an_empty_prefix(bound, monkeypatch):
         monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     s = fresh(ROTATING)
     blocks = s._blocks()
-    t, words, prefix, offsets = blocks
-    assert (prefix, offsets) == ((), (0,))
+    t, words, prefix, offsets, column = blocks
+    assert (prefix, offsets, column) == ((), (0,), (1,))
     with pytest.raises(DomainError, match="no fixed point"):
         letter_at(s, None, 1, 0)
     # steps below, at and well past the depth of the block table

@@ -16,6 +16,8 @@ from mooredual import (
     letter_at_constant,
     to_padded_machine,
 )
+from mooredual.equivalence import states_equivalent
+from mooredual.machine import left_action, right_action
 
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
@@ -130,7 +132,6 @@ def test_substitution_identity_ignores_its_index_data():
     warm = substitution()
     letter_at(warm, None, 30, 10 ** 5)
     assert warm._block_table is not None and cold._block_table is None
-    assert len(warm._lengths[0]) > len(cold._lengths[0])
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold) == REPRS[Substitution]
@@ -146,8 +147,9 @@ def test_substitution_identity_ignores_its_index_data():
     ({"transition": (("1", 0), (0, 1))}, "transition target must be an integer"),
     ({"transition": ((1, 0), (0, 1.0))}, "transition target must be an integer"),
     ({"transition": ((1, 0), (None, 1))}, "transition target must be an integer"),
+    ({"input_names": ("x", "x")}, "duplicate input names"),
 ], ids=["count-float", "count-str", "initial-float", "initial-none", "target-str",
-        "target-float", "target-none"])
+        "target-float", "target-none", "input-names-repeated"])
 def test_machine_fields_must_be_integers(changes, message):
     with pytest.raises(DomainError, match=message):
         MooreMachine(**dict(MACHINE, **changes))
@@ -157,6 +159,25 @@ def test_machine_fields_must_be_integers(changes, message):
 def test_substitution_initial_must_be_an_integer(initial):
     with pytest.raises(DomainError, match="initial letter must be an integer"):
         substitution(initial=initial)
+
+
+# every entry point that takes a state or letter as an index
+INDEXED = {
+    "right_action": lambda i: right_action(MooreMachine(**MACHINE), i, (0,)),
+    "left_action": lambda i: left_action(MooreMachine(**MACHINE), (0,), i),
+    "states_equivalent": lambda i: states_equivalent(MooreMachine(**MACHINE), 0, i),
+    "image": lambda i: substitution().image(i),
+}
+
+
+@pytest.mark.parametrize("call", INDEXED.values(), ids=INDEXED.keys())
+@pytest.mark.parametrize("index", [1.0, 0.5, None, (1,)], ids=["1.0", "0.5", "None", "tuple"])
+def test_indices_must_be_integers(call, index):
+    with pytest.raises(DomainError, match="index must be an integer"):
+        call(index)
+    assert call(True) == call(1)
+    with pytest.raises(DomainError, match="index 2 out of range"):
+        call(2)
 
 
 def test_bools_are_integers():
