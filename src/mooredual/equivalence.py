@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
+from operator import itemgetter
 
-from .machine import Counterexample, DomainError, MooreMachine, _reachable, trim
+from .machine import Counterexample, DomainError, MooreMachine, _machine, _reachable, trim
 
 
 def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
@@ -133,15 +135,8 @@ def normal_form(m: MooreMachine) -> MooreMachine:
     states.
     """
     mt = trim(m)
-    return MooreMachine(
-        states=tuple(str(k) for k in range(mt.n)),
-        input_count=mt.input_count,
-        outputs=mt.outputs,
-        transition=mt.transition,
-        output_map=mt.output_map,
-        initial=mt.initial,
-        input_names=mt.input_names,
-    )
+    return _machine(tuple(map(str, range(mt.n))), mt.input_count, mt.outputs,
+                    mt.transition, mt.output_map, mt.initial, mt.input_names)
 
 
 def state_classes(m: MooreMachine) -> tuple[int, ...]:
@@ -149,30 +144,49 @@ def state_classes(m: MooreMachine) -> tuple[int, ...]:
 
     Moore partition refinement: split states by output, then by the blocks of
     their successors, until no block splits.  Two states end in the same class
-    exactly when they are behaviorally equivalent.  Every round numbers blocks
-    in order of first appearance, so classes are numbered by their lowest
-    member; since trim orders states breadth-first, that is the breadth-first
-    order of the quotient, which is also the numbering of the bidual.
+    exactly when they are behaviorally equivalent.  Classes are numbered in
+    the order of their lowest members; since trim orders states breadth-first,
+    that is the breadth-first order of the quotient, which is also the
+    numbering of the bidual.
     """
-    mt = trim(m)
-    return tuple(_refine(mt.transition, mt.output_map))
+    return tuple(_refine(*_trimmed(m)))
 
 
-def _refine(rows, outs) -> list[int]:
-    """state_classes of a trimmed machine given by its rows and outputs."""
-    seen = {}
-    block = [seen.setdefault(out, len(seen)) for out in outs]
-    count = len(seen)
-    while count < len(rows):
-        seen = {}
-        get = block.__getitem__
-        block = [
-            seen.setdefault((b, *map(get, row)), len(seen)) for b, row in zip(block, rows)
-        ]
-        if len(seen) == count:  # refinement only splits, so no block split
-            return block
-        count = len(seen)
-    return block  # every block a single state, numbered in state order
+def _trimmed(m: MooreMachine):
+    """trim(m), without building it as a machine: its outputs, and for each
+    letter j the column of its states' j-successors."""
+    order, remap = _reachable(m)
+    rows = list(map(m.transition.__getitem__, order))
+    renumber = remap.__getitem__
+    cols = [list(map(renumber, map(itemgetter(j), rows))) for j in range(m.input_count)]
+    return list(map(m.output_map.__getitem__, order)), cols
+
+
+def _refine(outs, cols) -> list[int]:
+    """state_classes of a trimmed machine given by its outputs and columns.
+
+    A round gives each state the signature (its block, the blocks of its
+    successors), one C-level pass per column, and labels each state with the
+    lowest state of its signature: zipping the signatures in reverse leaves
+    that index as each key's value.  The labels name the blocks in order of
+    first appearance, so numbering them densely at the end gives the classes.
+    """
+    n = len(outs)
+    down = range(n - 1, -1, -1)
+    lowest = dict(zip(reversed(outs), down))
+    block = list(map(lowest.__getitem__, outs))
+    blocks = len(lowest)
+    if blocks < n:
+        gathers = [itemgetter(*col) for col in cols]  # n > 1: each gives a tuple
+    while blocks < n:
+        sigs = list(zip(block, *[gather(block) for gather in gathers]))
+        lowest = dict(zip(reversed(sigs), down))
+        if len(lowest) == blocks:  # refinement only splits, so no block split
+            ids = dict(zip(dict.fromkeys(block), count()))
+            return list(map(ids.__getitem__, block))
+        block = list(map(lowest.__getitem__, sigs))
+        blocks = len(lowest)
+    return block  # every state its own lowest member: the classes 0..n-1
 
 
 def minimize(m: MooreMachine) -> MooreMachine:
@@ -182,22 +196,19 @@ def minimize(m: MooreMachine) -> MooreMachine:
     the quotient's breadth-first order, so the result equals the normal form
     of the bidual.
     """
-    # trim(m), without building it as a machine
-    order, remap = _reachable(m)
-    renumber = remap.__getitem__
-    rows = [tuple(map(renumber, m.transition[a])) for a in order]
-    outs = list(map(m.output_map.__getitem__, order))
-    classes = _refine(rows, outs)
-    class_of = classes.__getitem__
-    # One member per class, in class order; every member of a class has its
-    # output and the classes of its successors.
-    members = dict(zip(classes, range(len(classes)))).values()
-    return MooreMachine(
-        states=tuple(map(str, range(len(members)))),
-        input_count=m.input_count,
-        outputs=m.outputs,
-        transition=tuple([tuple(map(class_of, rows[s])) for s in members]),
-        output_map=tuple(map(outs.__getitem__, members)),
-        initial=0,  # trimming puts the initial state first
-        input_names=m.input_names,
-    )
+    outs, cols = _trimmed(m)
+    classes = _refine(outs, cols)
+    n = len(classes)
+    # The last state's class is numbered n-1 only if each state is a class of
+    # its own; then trim(m) is its own quotient.
+    if classes[-1] != n - 1:
+        # One member per class, in class order; every member of a class has
+        # its output and the classes of its successors.
+        members = list(dict(zip(classes, range(n))).values())
+        class_of = classes.__getitem__
+        cols = [list(map(class_of, map(col.__getitem__, members))) for col in cols]
+        outs = list(map(outs.__getitem__, members))
+        n = len(members)
+    # trimming puts the initial state first
+    return _machine(tuple(map(str, range(n))), m.input_count, m.outputs,
+                    tuple(zip(*cols)), tuple(outs), 0, m.input_names)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 
 
 class ParseError(ValueError):
@@ -75,13 +76,8 @@ class MooreMachine(_Value):
 
     def __init__(self, states, input_count, outputs, transition, output_map, initial,
                  input_names=None):
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "output_map", output_map)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "input_names", input_names)
+        _fill(self, states, input_count, outputs, transition, output_map, initial,
+              input_names)
         n, q = len(self.states), self.input_count
         if n < 1:
             raise DomainError("machine needs at least one state")
@@ -139,6 +135,26 @@ class MooreMachine(_Value):
         return self.input_names[j] if self.input_names else str(j)
 
 
+def _fill(m, states, input_count, outputs, transition, output_map, initial, input_names):
+    """Set the fields of the MooreMachine m, unchecked, and return it."""
+    set_field = object.__setattr__
+    set_field(m, "states", states)
+    set_field(m, "input_count", input_count)
+    set_field(m, "outputs", outputs)
+    set_field(m, "transition", transition)
+    set_field(m, "output_map", output_map)
+    set_field(m, "initial", initial)
+    set_field(m, "input_names", input_names)
+    return m
+
+
+def _machine(*fields) -> MooreMachine:
+    """A MooreMachine of the given fields, in ``_fields`` order, without the
+    checks of ``__init__``: only for callers that have established every
+    invariant those checks enforce."""
+    return _fill(object.__new__(MooreMachine), *fields)
+
+
 class Counterexample(_Value):
     """A word on which two compared machines give different outputs."""
 
@@ -163,7 +179,8 @@ class Counterexample(_Value):
 def validate_word(word, q: int) -> tuple[int, ...]:
     word = tuple(word)
     for j in word:
-        if not 0 <= j < q:
+        if not isinstance(j, int) or not 0 <= j < q:
+            _check_int(j, "input symbol")
             raise DomainError("input symbol %r out of range (q=%d)" % (j, q))
     return word
 
@@ -255,24 +272,25 @@ def trim(m: MooreMachine) -> MooreMachine:
     if order == list(range(m.n)):
         return m
     get = remap.__getitem__
-    return MooreMachine(
-        states=tuple(map(m.states.__getitem__, order)),
-        input_count=m.input_count,
-        outputs=m.outputs,
-        transition=tuple([tuple(map(get, m.transition[a])) for a in order]),
-        output_map=tuple(map(m.output_map.__getitem__, order)),
-        initial=0,
-        input_names=m.input_names,
+    return _machine(
+        tuple(map(m.states.__getitem__, order)),
+        m.input_count,
+        m.outputs,
+        tuple([tuple(map(get, m.transition[a])) for a in order]),
+        tuple(map(m.output_map.__getitem__, order)),
+        0,
+        m.input_names,
     )
 
 
 # --- text format -------------------------------------------------------------
 
 def _meaningful_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.partition("#")[0].split()
-        if toks:
-            yield lineno, toks
+    """The (line number, tokens) of each line with a token once '#...' is cut."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
 
 
 def parse_machine(text: str) -> MooreMachine:
@@ -401,15 +419,16 @@ def parse_machine(text: str) -> MooreMachine:
         raise ParseError(
             "missing transition for state %r on input %s" % (names[k // q], k % q)
         )
-    # no duplicate in nq lines: every cell is filled
-    return MooreMachine(
-        states=tuple(names),
-        input_count=q,
-        outputs=outputs,
-        transition=tuple([tuple(cells[k : k + q]) for k in range(0, nq, q)]),
-        output_map=tuple(outs),
-        initial=state_pos[init_name],
-        input_names=input_names,
+    # No duplicate in nq lines: every cell is filled.  Every check of
+    # MooreMachine's constructor has now been made, with a ParseError.
+    return _machine(
+        tuple(names),
+        q,
+        outputs,
+        tuple([tuple(cells[k : k + q]) for k in range(0, nq, q)]),
+        tuple(outs),
+        state_pos[init_name],
+        input_names,
     )
 
 

@@ -3,7 +3,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from mooredual.duality import dual_with_vectors
 from mooredual.machine import (
@@ -52,6 +52,25 @@ def random_machine(rng, max_states=8, max_inputs=3, max_outputs=3):
         initial=rng.randrange(n),
     )
     return trim(m)
+
+
+@st.composite
+def machines(draw, max_states=6, max_inputs=3, max_outputs=3):
+    """A machine within the given bounds; some of its states may be unreachable."""
+    n = draw(st.integers(1, max_states))
+    q = draw(st.integers(1, max_inputs))
+    d = draw(st.integers(1, max_outputs))
+    outputs = tuple("o%d" % k for k in range(d))
+    return MooreMachine(
+        states=tuple("s%d" % k for k in range(n)),
+        input_count=q,
+        outputs=outputs,
+        transition=tuple(
+            tuple(draw(st.integers(0, n - 1)) for _ in range(q)) for _ in range(n)
+        ),
+        output_map=tuple(outputs[draw(st.integers(0, d - 1))] for _ in range(n)),
+        initial=draw(st.integers(0, n - 1)),
+    )
 
 
 def check_vector(m, f):
@@ -162,6 +181,27 @@ def bidual_state_classes(m):
     _, vectors2 = dual_with_vectors(d1)
     lookup = {f: k for k, f in enumerate(vectors2)}
     return tuple(lookup[tuple(f[a] for f in vectors1)] for a in range(mt.n))
+
+
+def moore_round_classes(m):
+    """state_classes by Moore's round loop over the rows of trim(m): each
+    round gives every state the number, in order of first appearance, of its
+    (block, blocks of its successors), until a round splits no block."""
+    mt = trim(m)
+    seen = {}
+    block = [seen.setdefault(out, len(seen)) for out in mt.output_map]
+    count = len(seen)
+    while count < mt.n:
+        seen = {}
+        get = block.__getitem__
+        block = [
+            seen.setdefault((b, *map(get, row)), len(seen))
+            for b, row in zip(block, mt.transition)
+        ]
+        if len(seen) == count:
+            break
+        count = len(seen)
+    return tuple(block)
 
 
 def full_transformation_machine(n):

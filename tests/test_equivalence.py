@@ -29,6 +29,8 @@ from mooredual.machine import (
 from conftest import (
     bidual_state_classes,
     full_transformation_machine,
+    machines,
+    moore_round_classes,
     random_machine,
     random_word,
     split_state,
@@ -225,6 +227,47 @@ def test_oracle_minimize_paper(paper):
 def test_state_classes_match_bidual_oracle(corpus):
     for m in corpus:
         assert state_classes(m) == bidual_state_classes(m)
+
+
+def test_state_classes_match_round_oracle(corpus):
+    for m in corpus:
+        assert state_classes(m) == moore_round_classes(m)
+
+
+@given(machines(max_states=12, max_outputs=2))
+def test_state_classes_match_round_oracle_hypothesis(m):
+    assert state_classes(m) == moore_round_classes(m)
+
+
+@pytest.mark.parametrize("m", [
+    MooreMachine(("s",), 1, ("a", "b"), ((0,),), ("b",), 0),  # one state
+    MooreMachine(("p", "q", "r"), 1, ("a", "b"), ((1,), (2,), (1,)), ("a", "b", "a"), 0),  # q = 1
+    MooreMachine(("p", "q", "r"), 2, ("a",), ((1, 2), (2, 0), (0, 0)), ("a",) * 3, 0),  # one output
+    MooreMachine(("p", "q", "r", "x"), 2, ("a", "b"), ((1, 0), (0, 1), (3, 3), (2, 0)),
+                 ("a", "b", "b", "a"), 1),  # r and x unreachable
+], ids=["one-state", "q1", "outputs-equal", "unreachable"])
+def test_state_classes_edge_cases(m):
+    assert state_classes(m) == moore_round_classes(m)
+    assert minimize(m).n == max(state_classes(m)) + 1
+
+
+def chain_machine(n):
+    """n states over {0, 1}: letter 0 steps along the chain, which ends in a
+    loop, and letter 1 returns to the start.  Output 1 marks the last state
+    alone, so the machine is minimal and Moore refinement needs n rounds."""
+    return MooreMachine(
+        states=tuple("c%d" % s for s in range(n)),
+        input_count=2,
+        outputs=("0", "1"),
+        transition=tuple((min(s + 1, n - 1), 0) for s in range(n)),
+        output_map=tuple("1" if s == n - 1 else "0" for s in range(n)),
+        initial=0,
+    )
+
+
+def test_state_classes_long_chain():
+    m = chain_machine(2000)  # minimal, and every round splits off one state
+    assert state_classes(m) == moore_round_classes(m) == tuple(range(2000))
 
 
 # --- isomorphic ----------------------------------------------------------------------

@@ -79,9 +79,11 @@ def mutated(draw, bases, most=5):
 @given(mutated(MOORE_BASES))
 def test_mutated_moore_text_parses_or_is_a_parse_error(text):
     try:
-        parse_machine(text)
+        m = parse_machine(text)
     except ParseError:
-        pass
+        return
+    # parse_machine skips the constructor's checks, having made them itself
+    assert MooreMachine(*m._key()) == m
 
 
 @settings(max_examples=300)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mooredual.equivalence import minimize, normal_form
 from mooredual.machine import (
     DomainError,
     MooreMachine,
@@ -16,25 +17,7 @@ from mooredual.machine import (
     trim,
 )
 
-from conftest import read_data
-
-
-@st.composite
-def machines(draw, max_states=6, max_inputs=3, max_outputs=3):
-    n = draw(st.integers(1, max_states))
-    q = draw(st.integers(1, max_inputs))
-    d = draw(st.integers(1, max_outputs))
-    outputs = tuple("o%d" % k for k in range(d))
-    return MooreMachine(
-        states=tuple("s%d" % k for k in range(n)),
-        input_count=q,
-        outputs=outputs,
-        transition=tuple(
-            tuple(draw(st.integers(0, n - 1)) for _ in range(q)) for _ in range(n)
-        ),
-        output_map=tuple(outputs[draw(st.integers(0, d - 1))] for _ in range(n)),
-        initial=draw(st.integers(0, n - 1)),
-    )
+from conftest import machines, read_data, read_golden
 
 
 @st.composite
@@ -328,3 +311,32 @@ def test_emit_refuses_names_that_do_not_read_back(names):
     m = MooreMachine(**fields)
     with pytest.raises(DomainError, match="read back"):
         emit_machine(m)
+
+
+# --- machines built without re-running the constructor's checks ---------------------
+
+def rechecked(m):
+    """m, rebuilt through the checking constructor: raises if any check fails."""
+    return MooreMachine(*m._key())
+
+
+@pytest.mark.parametrize("text", [
+    read_data("example.moore"),
+    read_data("example_bad.moore"),
+    read_data("example_min.moore"),
+    read_golden("moore_minimize_example.txt"),
+    read_golden("moore_dual_example.txt"),
+    read_golden("moore_normal_example.txt"),
+    read_golden("moore_product_example_pair.txt"),
+    read_golden("subst_tomachine_fib.txt"),
+], ids=["example", "example_bad", "example_min", "minimize", "dual", "normal", "product",
+        "tomachine"])
+def test_parsed_machines_pass_the_constructor_checks(text):
+    m = parse_machine(text)
+    assert rechecked(m) == m
+
+
+@given(machines())
+def test_derived_machines_pass_the_constructor_checks(m):
+    for derived in (trim(m), normal_form(m), minimize(m)):
+        assert rechecked(derived) == derived

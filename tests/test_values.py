@@ -17,7 +17,7 @@ from mooredual import (
     to_padded_machine,
 )
 from mooredual.equivalence import states_equivalent
-from mooredual.machine import left_action, right_action
+from mooredual.machine import left_action, right_action, run_right
 
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
@@ -178,6 +178,24 @@ def test_indices_must_be_integers(call, index):
     assert call(True) == call(1)
     with pytest.raises(DomainError, match="index 2 out of range"):
         call(2)
+
+
+# every entry point that takes a word
+WORDS = {
+    "right_action": lambda w: right_action(MooreMachine(**MACHINE), 0, w),
+    "left_action": lambda w: left_action(MooreMachine(**MACHINE), w, 0),
+    "run_right": lambda w: run_right(MooreMachine(**MACHINE), w),
+}
+
+
+@pytest.mark.parametrize("call", WORDS.values(), ids=WORDS.keys())
+@pytest.mark.parametrize("letter", [0.5, 1.0, "1", None], ids=["0.5", "1.0", "str", "None"])
+def test_letters_must_be_integers(call, letter):
+    with pytest.raises(DomainError, match="input symbol must be an integer"):
+        call((0, letter))
+    assert call((True, 0)) == call((1, 0))
+    with pytest.raises(DomainError, match="input symbol 2 out of range"):
+        call((0, 2))
 
 
 def test_bools_are_integers():
