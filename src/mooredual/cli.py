@@ -22,18 +22,6 @@ from .machine import (
     run_right,
     to_dot,
 )
-from .substitution import (
-    emit_substitution,
-    expand_fixed_point,
-    format_letters,
-    letter_at,
-    letter_at_constant,
-    minimize_substitution,
-    parse_substitution,
-    phi,
-    psi,
-    to_padded_machine,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,11 +34,12 @@ def _read(path: str) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")  # one leading byte order mark is dropped
     except UnicodeDecodeError as e:
-        # lines are numbered as the parsers number them, by str.splitlines
-        line = len((data[: e.start].decode("utf-8") + "\ufffd").splitlines())
-        raise ParseError("line %d: not UTF-8 text (byte 0x%02x)" % (line, data[e.start])) from None
+        # lines are numbered as the parsers number them, by str.splitlines; e.start
+        # counts from e.object, the bytes after any byte order mark
+        line = len((e.object[: e.start].decode("utf-8") + "\ufffd").splitlines())
+        raise ParseError("line %d: not UTF-8 text (byte 0x%02x)" % (line, e.object[e.start])) from None
 
 
 def _write(text: str, path: str | None):
@@ -213,6 +202,20 @@ def _subst_parser() -> argparse.ArgumentParser:
 
 
 def _run_subst(args_list) -> int:
+    # loaded here, so that `moore` commands never compile the substitution layer
+    from .substitution import (
+        emit_substitution,
+        expand_fixed_point,
+        format_letters,
+        letter_at,
+        letter_at_constant,
+        minimize_substitution,
+        parse_substitution,
+        phi,
+        psi,
+        to_padded_machine,
+    )
+
     args = _subst_parser().parse_args(args_list)
     cmd = args.command
     s, pad = parse_substitution(_read(args.file))

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -29,6 +32,18 @@ def read_data(name):
 
 def read_golden(name):
     return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def run_fresh(code, stdin=b""):
+    """Run code in a new interpreter that imports mooredual from this source tree;
+    its stdout as bytes.  Fails the test if the interpreter exits non-zero."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc.stdout
 
 
 @pytest.fixture

@@ -1,19 +1,15 @@
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import mooredual
 from mooredual.cli import run_cli
 from mooredual.machine import MooreMachine, emit_machine, parse_machine, to_dot
 from mooredual.substitution import expand_fixed_point, parse_substitution
 
-from conftest import DATA, full_transformation_machine, read_data, read_golden
+from conftest import DATA, full_transformation_machine, read_data, read_golden, run_fresh
 
 EXAMPLE = str(DATA / "example.moore")
 EXAMPLE_MIN = str(DATA / "example_min.moore")
@@ -294,13 +290,53 @@ def test_exit_code_domain_error(capsys):
 
 
 def test_library_import_leaves_out_the_cli():
-    # nor the modules behind dataclasses, which take most of a cold start
-    src = Path(mooredual.__file__).resolve().parent.parent
-    left_out = ["argparse", "mooredual.cli", "dataclasses", "inspect", "ast"]
-    code = "import sys, mooredual; print([m for m in %r if m in sys.modules])" % (left_out,)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
+    # nor the modules behind dataclasses, which take most of a cold start, nor
+    # the duality and substitution layers, which load on first use
+    code = (
+        "import sys, mooredual; print(sorted(m for m in sys.modules if m in %r or m.startswith('mooredual')))"
+        % (["argparse", "dataclasses", "inspect", "ast"],)
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert run_fresh(code) == b"['mooredual', 'mooredual.equivalence', 'mooredual.machine']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moore", "minimize", EXAMPLE],
+    ["moore", "equiv", EXAMPLE, EXAMPLE_MIN],
+    ["moore", "normal", EXAMPLE],
+])
+def test_moore_commands_leave_out_the_substitution_layer(argv):
+    code = (
+        "import sys; from mooredual.cli import run_cli; rc = run_cli(%r); "
+        "print(rc, 'mooredual.substitution' in sys.modules)" % (argv,)
+    )
+    assert run_fresh(code).splitlines()[-1] == b"0 False"
+
+
+def test_subst_command_loads_the_substitution_layer_itself():
+    code = "import mooredual.cli; mooredual.cli.run_cli(['subst', 'letter', %r, '-k', '3', '-n', '4'])" % FIB
+    assert run_fresh(code) == b"b\n"
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moore", "minimize", EXAMPLE],
+    ["moore", "validate", EXAMPLE],
+    ["subst", "validate", FIB],
+    ["subst", "minimize", FIB],
+])
+def test_a_leading_byte_order_mark_is_ignored(argv, tmp_path, capsys):
+    plain = run(capsys, *argv)
+    path = tmp_path / Path(argv[2]).name
+    path.write_bytes(BOM + Path(argv[2]).read_bytes())
+    assert run(capsys, *argv[:2], str(path), *argv[3:]) == plain
+    assert plain[0] == 0
+
+
+def test_only_one_byte_order_mark_is_ignored(tmp_path, capsys):
+    path = tmp_path / "twice.moore"
+    path.write_bytes(BOM + BOM + Path(EXAMPLE).read_bytes())
+    code, _, err = run(capsys, "moore", "validate", str(path))
+    assert code == 2
+    assert "line 1: expected header 'moore v1'" in err

@@ -14,6 +14,7 @@ from conftest import (
     dual_via_right_definition,
     random_machine,
     random_word,
+    run_fresh,
 )
 
 
@@ -96,6 +97,33 @@ def test_public_names():
     for gone in ("DualMachine", "plain", "OutputCombiner", "act_left_on_function",
                  "act_right_on_function"):
         assert not hasattr(mooredual, gone)
+
+
+LAZY_SURFACE = """
+import sys, mooredual
+assert set(mooredual.__all__) <= set(dir(mooredual))
+assert not hasattr(mooredual, "DualMachine") and "mooredual.substitution" not in sys.modules
+assert mooredual.substitution is sys.modules["mooredual.substitution"]
+for name in mooredual.__all__:
+    value = getattr(mooredual, name)
+    assert getattr(sys.modules[value.__module__], name) is value, name
+    assert vars(mooredual)[name] is value, name
+star = {}
+exec("from mooredual import *", star)
+assert all(star[name] is getattr(mooredual, name) for name in mooredual.__all__)
+assert mooredual.psi is mooredual.substitution.psi and mooredual.dual is mooredual.duality.dual
+print("ok")
+"""
+
+
+def test_lazy_names_are_the_submodules_own_objects():
+    # run cold, so that each name goes through the package's first-use import
+    assert run_fresh(LAZY_SURFACE) == b"ok\n"
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'mooredual' has no attribute 'DualMachine'$"):
+        mooredual.DualMachine
 
 
 def test_dual_one_state():

@@ -395,6 +395,9 @@ def test_subst_directives_in_any_order():
     ("moore", b"\xfe", 1),
     ("subst", b"subst v1\r\nletters a\r\n# caf\xe9\r\n", 3),
     ("subst", b"subst v1\rletters \xc3\n", 2),
+    ("moore", b"\xef\xbb\xbfmoore v1\ninputs 1\n\xff\n", 3),
+    ("moore", b"\xef\xbb\xbf\xfe", 1),
+    ("subst", b"\xef\xbb\xbfsubst v1\r\n\xc3\n", 2),
 ])
 def test_text_that_is_not_utf8_is_a_parse_error(tool, data, line, tmp_path, capsys):
     path = tmp_path / "bad.txt"

@@ -19,6 +19,8 @@ from mooredual import (
 from mooredual.equivalence import states_equivalent
 from mooredual.machine import left_action, right_action, run_right
 
+from conftest import run_fresh
+
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
                input_names=("x", "y"))
@@ -125,6 +127,16 @@ def test_warm_substitution_copies_give_the_same_letters(clone):
     assert twin == warm
     assert [letter_at(twin, None, 6, j) for j in range(64)] == letters
     assert [letter_at_constant(twin, 6, 0, j) for j in range(64)] == letters
+
+
+@pytest.mark.parametrize("cls", [Substitution, PaddingSpec, PaddedMachine])
+@pytest.mark.parametrize("first", ["", "import mooredual; "])
+def test_pickles_load_in_a_fresh_interpreter(cls, first):
+    # there the substitution layer is not loaded until unpickling asks for it;
+    # the repr names every field, so an equal repr is an equal value
+    value, _ = make(cls)
+    code = first + "import pickle, sys; print(repr(pickle.loads(sys.stdin.buffer.read())))"
+    assert run_fresh(code, stdin=pickle.dumps(value)).decode("utf-8") == REPRS[cls] + "\n"
 
 
 def test_substitution_identity_ignores_its_index_data():
