@@ -30,12 +30,13 @@ class Substitution(_Value):
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
     hashing and repr ignore: the rules as letter indices, the shape every
-    padding template must have, and the block table (see ``_blocks``),
-    built by the first ``letter_at`` or ``letter_at_constant``.
+    padding template must have, whether every image has length q, and the
+    block table (see ``_blocks``), built by the first ``letter_at`` or
+    ``letter_at_constant``.
     """
 
     _fields = ("alphabet", "rules", "outputs", "projection", "initial")
-    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_block_table")
+    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_constant_length", "_block_table")
     alphabet: tuple[str, ...]
     rules: tuple[tuple[str, ...], ...]
     outputs: tuple[str, ...]
@@ -84,6 +85,7 @@ class Substitution(_Value):
         q = self.q
         shape = tuple([(q, len(img), q - len(img)) for img in self.rules])
         object.__setattr__(self, "_pad_shape", shape)
+        object.__setattr__(self, "_constant_length", min(map(len, self.rules)) == q)
         object.__setattr__(self, "_block_table", None)
 
     def _key(self):
@@ -322,7 +324,7 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
 
 
 def is_constant_length(s: Substitution) -> bool:
-    return min(map(len, s.rules)) == s.q
+    return s._constant_length
 
 
 def letter_at_constant(s: Substitution, k: int, a, n: int):
@@ -334,11 +336,16 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     leading zeros follow the first letters of the images, which cycle
     within |A| steps, so a huge k costs no more than the digits of n.
     """
-    if not is_constant_length(s):
+    if not s._constant_length:
         raise DomainError("substitution is not constant-length")
     state = s.letter_index(a)
     q = s.q
-    if k < 0 or not 0 <= n < q ** min(k, n.bit_length()):  # n < q**k
+    if k.__class__ is not int or n.__class__ is not int:
+        if k >= 0 and n >= 0:  # a negative k or n is out of range first
+            _check_int(k, "step")
+            _check_int(n, "index")
+    # n < q**k; for q > 1 an n below 2**k needs no power
+    if k < 0 or n < 0 or (n >> k or q == 1) and n >= q ** min(k, n.bit_length()):
         raise DomainError("index %d out of range for step %d" % (n, k))
     rows = s._rows
     t, words, _, _, _ = s._block_table or s._blocks()
@@ -476,6 +483,7 @@ def psi(pm: PaddedMachine, n: int):
     m = pm.machine
     if m.transition[m.initial][0] != m.initial:
         raise DomainError("numeration needs digit 0 to fix the initial letter")
+    _check_int(n, "rank")
     digits = []
     count, state, _ = _unrank(m.transition, m.initial, n, sink=pm.sink, digits=digits)
     if state is None:
@@ -504,22 +512,34 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     at the depth t of the block table, in a read of sigma^t of the letter
     reached: O(min(k, log j) * |A| * q) when the iterates grow
     exponentially.
+
+    The table is read first, when k and j are ints that put j inside the
+    k-th iterate and below the reach; no check can fail there, since only
+    a fixed point gives the table a reach.  The descent checks the fixed
+    point, the signs of k and j, then that both are ints (a bool is one).
+    A padding is one comparison of shapes and of the start letter's first
+    token; it is validated in full only if that comparison fails.
     """
-    check_fixed_point(s)
-    if k < 0:
-        raise DomainError("negative iteration count")
-    if j < 0:
-        raise DomainError("index %d out of range for step %d" % (j, k))
     t, words, prefix, offsets, column = s._block_table or s._blocks()
-    if j < offsets[-1] and j < column[min(k, len(column) - 1)]:
+    if (j.__class__ is int and k.__class__ is int and 0 <= j < offsets[-1] and k >= 0
+            and (k >= len(column) or j < column[k])):
         i = bisect_right(offsets, j) - 1
         letter = words[prefix[i]][j - offsets[i]]
     else:
+        check_fixed_point(s)
+        if k < 0:
+            raise DomainError("negative iteration count")
+        if j < 0:
+            raise DomainError("index %d out of range for step %d" % (j, k))
+        _check_int(k, "iteration count")
+        _check_int(j, "index")
         length, state, rank = _unrank(s._rows, s.initial, j, limit=k, stop=t)
         if state is None:
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
         letter = words[state][rank]
-    if pad is not None:
+    if pad is not None and not (
+        pad._shape == s._pad_shape and pad.templates[s.initial][0] == SLOT
+    ):
         pad.validate(s)
         if pad.templates[s.initial][0] != SLOT:
             raise DomainError("numeration needs digit 0 to fix the initial letter")

@@ -1,10 +1,12 @@
 import copy
+import pickle
 import random
 import sys
 import threading
 import time
 import tracemalloc
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from mooredual.substitution import (
     PaddingSpec,
     Substitution,
     apply,
+    check_fixed_point,
     emit_substitution,
     expand_fixed_point,
     fixed_point_lengths,
@@ -240,6 +243,14 @@ def test_letter_at_constant_rejects(fib, paper_subst):
     assert letter_at_constant(unary, 5, "a", 0) == "a"
     with pytest.raises(DomainError, match="out of range"):
         letter_at_constant(unary, 5, "a", 1)
+    # the range is n < q**k exactly, in every base
+    for q in (1, 2, 3):
+        s = Substitution(("a",), (("a",) * q,), ("0",), ("0",), 0)
+        for k in range(7):
+            assert letter_at_constant(s, k, "a", q ** k - 1) == "a"
+            with pytest.raises(DomainError, match="out of range"):
+                letter_at_constant(s, k, "a", q ** k)
+        assert letter_at_constant(s, 10 ** 12, "a", 2 ** 70 if q > 1 else 0) == "a"
 
 
 # --- numeration ----------------------------------------------------------------------
@@ -526,9 +537,15 @@ def test_warm_table_keeps_equality_hash_and_repr():
     warm, cold = fresh(LINEAR), fresh(LINEAR)
     assert letter_at(warm, None, 10 ** 9, 500) == "c"
     assert warm._block_table is not None and cold._block_table is None
+    # the constant-length slot is index data too: flipping it changes nothing
+    object.__setattr__(warm, "_constant_length", not cold._constant_length)
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    twin = pickle.loads(pickle.dumps(warm))
+    assert twin == cold and twin._block_table is None
+    assert twin._constant_length is cold._constant_length is False
 
 
 @pytest.mark.parametrize("bound", [0, 1, 5, 64])
@@ -806,6 +823,164 @@ def test_letter_at_alternative_padding():
     prefix = expand_fixed_point(s, 40)
     for j in range(40):
         assert letter_at(s, pad, 12, j) == prefix[j]
+
+
+# --- what a warm query checks ----------------------------------------------------------
+
+def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
+    # below the reach a warm letter_at is one table read and one comparison
+    # of padding shapes, and a warm letter_at_constant reads the
+    # constant-length slot; every check that depends only on the
+    # substitution fails the query if it is called again
+    fib, pad = parse_substitution(read_data("fib.subst"))
+    const = parse_substitution(read_data("threeletter.subst"))[0]
+    prefix = expand_fixed_point(fib, fixed_point_lengths(fib, 18)[18])
+    image = expand_iterate(const, "i", 11)
+    assert letter_at(fib, pad, 18, 0) == prefix[0]
+    assert letter_at_constant(const, 11, "i", 0) == image[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm query checked its substitution again")
+
+    for owner, name in ((substitution, "check_fixed_point"), (substitution, "_unrank"),
+                        (substitution, "is_constant_length"), (PaddingSpec, "validate"),
+                        (Substitution, "_blocks")):
+        monkeypatch.setattr(owner, name, refuse)
+    for j in range(0, len(prefix), 7):
+        assert letter_at(fib, pad, 18, j) == prefix[j]
+        assert letter_at(fib, None, 10 ** 9, j) == prefix[j]
+    for n in range(0, len(image), 5):
+        assert letter_at_constant(const, 11, "i", n) == image[n]
+    # the patches are live: past its step a query descends, and checks first
+    with pytest.raises(AssertionError, match="checked its substitution"):
+        letter_at(fib, pad, 18, len(prefix))
+
+
+# --- error precedence --------------------------------------------------------------------
+
+# a fixed point at a whose image is shorter than q = 3, so that a padding of
+# the right shape can put w first; the same rules without a fixed point
+GROWING = Substitution(("a", "b"), (("a", "b"), ("a", "b", "b")), ("0",), ("0",) * 2, 0)
+NO_FIXED_POINT = Substitution(("a", "b"), (("b", "a"), ("a", "b", "b")), ("0",), ("0",) * 2, 0)
+PADS = {
+    "none": None,
+    "default": PaddingSpec(((SLOT, SLOT, OMEGA), (SLOT, SLOT, SLOT))),
+    "bad-shape": PaddingSpec(((SLOT, SLOT, SLOT), (SLOT, SLOT, SLOT))),
+    "w-first": PaddingSpec(((OMEGA, SLOT, SLOT), (SLOT, SLOT, SLOT))),
+}
+
+
+def letter_at_error(s, pad, k, j):
+    """The message letter_at gives, or None: the checks in their order."""
+    if s is not GROWING:
+        return "no fixed point: the image of 'a' must start with it and grow"
+    if k < 0:
+        return "negative iteration count"
+    if j < 0:
+        return "index %d out of range for step %d" % (j, k)
+    length = fixed_point_lengths(GROWING, min(k, 20))[-1]  # 20 steps pass 10**7
+    if j >= length:
+        return "index %d out of range for step %d (length %d)" % (j, k, length)
+    if pad == "bad-shape":
+        return "template for 'a' must have exactly 2 slots"
+    if pad == "w-first":
+        return "numeration needs digit 0 to fix the initial letter"
+    return None
+
+
+@pytest.mark.parametrize("s", [GROWING, NO_FIXED_POINT, ROTATING],
+                         ids=["fixed-point", "no-fixed-point", "rotating"])
+@pytest.mark.parametrize("pad", PADS)
+@pytest.mark.parametrize("k", [2, -1, 10 ** 9])
+# inside step 2, negative, past step 2 below the reach, past step 2 and the reach
+@pytest.mark.parametrize("j", [1, -1, 5, 10 ** 7])
+def test_letter_at_error_precedence(s, pad, k, j):
+    # cold and warm substitutions give the same message
+    want = letter_at_error(s, pad, k, j)
+    for warm in (False, True):
+        s = fresh(s)
+        if warm:
+            s._blocks()
+        if want is None:  # the padded machine's letter on psi(j)
+            pm = to_padded_machine(s)
+            state = left_action(pm.machine, psi(pm, j), pm.machine.initial)
+            assert letter_at(s, PADS[pad], k, j) == s.alphabet[state]
+        else:
+            with pytest.raises(DomainError) as err:
+                letter_at(s, PADS[pad], k, j)
+            assert str(err.value) == want
+
+
+# the paper's worked example (q = 2) and the same letters with a short image
+PAPER = Substitution(("i", "a", "b"), (("i", "a"), ("b", "i"), ("b", "a")),
+                     ("0", "1"), ("0", "1", "0"), 0)
+UNEVEN = Substitution(("i", "a", "b"), (("i", "a"), ("b",), ("b", "a")),
+                      ("0", "1"), ("0", "1", "0"), 0)
+
+
+@pytest.mark.parametrize("s", [PAPER, UNEVEN], ids=["constant", "not-constant"])
+@pytest.mark.parametrize("a", ["i", "z"])
+@pytest.mark.parametrize("k", [2, -1, 10 ** 9])
+@pytest.mark.parametrize("n", [2, 4, -1])  # inside step 2, past it, negative
+def test_letter_at_constant_error_precedence(s, a, k, n):
+    if s is UNEVEN:
+        want = "substitution is not constant-length"
+    elif a == "z":
+        want = "unknown letter 'z'"
+    elif k < 0 or n < 0 or n >= 2 ** min(k, 3):
+        want = "index %d out of range for step %d" % (n, k)
+    else:
+        assert letter_at_constant(s, k, a, n) == letter_at_constant(s, min(k, 5), a, n)
+        return
+    for warm in (False, True):
+        s = fresh(s)
+        if warm:
+            s._blocks()
+        with pytest.raises(DomainError) as err:
+            letter_at_constant(s, k, a, n)
+        assert str(err.value) == want
+
+
+# --- invariants of the table read ------------------------------------------------------
+
+@st.composite
+def any_substitutions(draw):
+    """A random substitution, with or without a fixed point at its start."""
+    size = draw(st.integers(1, 4))
+    alphabet = tuple("abcd"[:size])
+    letter = st.sampled_from(alphabet)
+    rules = tuple(tuple(draw(st.lists(letter, min_size=1, max_size=3))) for _ in alphabet)
+    return Substitution(alphabet, rules, ("0",), ("0",) * size, draw(st.integers(0, size - 1)))
+
+
+@given(any_substitutions())
+def test_only_a_fixed_point_gives_the_table_a_reach(s):
+    # so a query that the table answers needs no fixed-point check
+    try:
+        check_fixed_point(s)
+        fixed = True
+    except DomainError:
+        fixed = False
+    assert (s._blocks()[3][-1] > 0) == fixed
+    assert s._constant_length == (min(map(len, s.rules)) == s.q) == is_constant_length(s)
+
+
+@given(padded_substitutions(), st.sampled_from([1, 2, 5, 64]))
+def test_warm_letter_at_matches_expansion_around_the_reach(subst, bound):
+    # every padding the numeration accepts gives the expansion's letters,
+    # below, at and past the reach, at the first step that long and at 10**9
+    s, custom = subst
+    with mock.patch.object(substitution, "_BLOCK_LETTERS", bound):
+        s = fresh(s)
+        offsets = s._blocks()[3]
+    reach = offsets[-1]
+    fixed = expand_fixed_point(s, reach + 2)
+    lengths = fixed_point_lengths(s, reach + 2)
+    deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
+    ranks = sorted({0, reach // 2, max(reach - 1, 0), reach, reach + 1})
+    for pad in (None, PaddingSpec.default(s), custom):
+        for k in (deep, 10 ** 9):
+            assert [letter_at(s, pad, k, j) for j in ranks] == [fixed[j] for j in ranks]
 
 
 # --- substitution minimization -----------------------------------------------------------

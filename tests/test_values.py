@@ -14,6 +14,7 @@ from mooredual import (
     Substitution,
     letter_at,
     letter_at_constant,
+    psi,
     to_padded_machine,
 )
 from mooredual.equivalence import states_equivalent
@@ -208,6 +209,48 @@ def test_letters_must_be_integers(call, letter):
     assert call((True, 0)) == call((1, 0))
     with pytest.raises(DomainError, match="input symbol 2 out of range"):
         call((0, 2))
+
+
+FIB_PAD = PaddingSpec((("_", "_"), ("_", "w")))
+PAPER = dict(alphabet=("i", "a", "b"), rules=(("i", "a"), ("b", "i"), ("b", "a")),
+             outputs=("0", "1"), projection=("0", "1", "0"), initial=0)
+
+# the query arguments k, j of letter_at, k, n of letter_at_constant and the
+# rank of psi, with the message each non-integer gets
+QUERIES = {
+    "letter_at-index": (lambda s, x: letter_at(s, FIB_PAD, 18, x), SUBST, "index"),
+    "letter_at-step": (lambda s, x: letter_at(s, FIB_PAD, x, 1), SUBST, "iteration count"),
+    "letter_at-no-pad": (lambda s, x: letter_at(s, None, x, 1), SUBST, "iteration count"),
+    "constant-index": (lambda s, x: letter_at_constant(s, 3, "a", x), PAPER, "index"),
+    "constant-step": (lambda s, x: letter_at_constant(s, x, "a", 1), PAPER, "step"),
+    "psi": (lambda s, x: psi(to_padded_machine(s), x), SUBST, "rank"),
+}
+
+
+@pytest.mark.parametrize("query, fields, what", QUERIES.values(), ids=QUERIES.keys())
+@pytest.mark.parametrize("value", [1.5, 2.0, 100.0, 3.5, 10.0 ** 9])
+def test_query_arguments_must_be_integers(query, fields, what, value):
+    # once cold and once with the block table built
+    for warm in (False, True):
+        s = Substitution(**fields)
+        if warm:
+            s._blocks()
+        with pytest.raises(DomainError) as err:
+            query(s, value)
+        assert str(err.value) == "%s must be an integer, not %r" % (what, value)
+    assert query(s, True) == query(s, 1)
+
+
+def test_negative_non_integers_keep_their_range_messages():
+    fib = substitution()
+    with pytest.raises(DomainError, match="^negative iteration count$"):
+        letter_at(fib, FIB_PAD, -1.5, 3)
+    with pytest.raises(DomainError, match="^index -1 out of range for step 1$"):
+        letter_at(fib, FIB_PAD, 1.5, -1)
+    with pytest.raises(DomainError, match="^index 1 out of range for step -1$"):
+        letter_at_constant(Substitution(**PAPER), -1.5, "a", 1)
+    with pytest.raises(DomainError, match="^negative rank$"):
+        psi(to_padded_machine(fib), -1.5)
 
 
 def test_bools_are_integers():
