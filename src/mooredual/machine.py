@@ -17,16 +17,24 @@ class DomainError(ValueError):
 class _Value:
     """Base of the immutable value classes.
 
-    Each subclass names its fields in ``_fields`` and returns their values,
-    in that order, from ``_key()``: an explicit tuple, which reads slots
-    faster than a loop of getattr.  Equality, hashing, repr and pickling go
-    by it, so further slots a subclass declares are left out.  Constructors
-    set their slots with ``object.__setattr__``; any other assignment or
-    deletion raises AttributeError.
+    Each subclass names its fields in ``_fields``.  Its constructor stores
+    them with ``_set``, and ``_key()`` reads them back, both in that order.
+    Equality, hashing, repr and pickling go by ``_key()``, so further slots
+    a subclass declares, set with ``object.__setattr__``, are left out.
+    Any other assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
     _fields = ()
+
+    def _set(self, *values):
+        """Store values into the fields, in ``_fields`` order; return self."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -56,6 +64,15 @@ def _check_int(value, what: str):
         raise DomainError("%s must be an integer, not %r" % (what, value))
 
 
+def _check_ordered(value, what: str):
+    """Raise _check_int's DomainError if value does not compare with 0, so
+    that a sign test after this one cannot raise TypeError."""
+    try:
+        value < 0
+    except TypeError:
+        raise DomainError("%s must be an integer, not %r" % (what, value)) from None
+
+
 class MooreMachine(_Value):
     """A deterministic machine: states, inputs 0..q-1, outputs, delta, lambda, initial.
 
@@ -76,8 +93,7 @@ class MooreMachine(_Value):
 
     def __init__(self, states, input_count, outputs, transition, output_map, initial,
                  input_names=None):
-        _fill(self, states, input_count, outputs, transition, output_map, initial,
-              input_names)
+        self._set(states, input_count, outputs, transition, output_map, initial, input_names)
         n, q = len(self.states), self.input_count
         if n < 1:
             raise DomainError("machine needs at least one state")
@@ -111,10 +127,6 @@ class MooreMachine(_Value):
             if len(set(self.input_names)) != q:
                 raise DomainError("duplicate input names")
 
-    def _key(self):
-        return (self.states, self.input_count, self.outputs, self.transition,
-                self.output_map, self.initial, self.input_names)
-
     @property
     def n(self) -> int:
         return len(self.states)
@@ -135,24 +147,11 @@ class MooreMachine(_Value):
         return self.input_names[j] if self.input_names else str(j)
 
 
-def _fill(m, states, input_count, outputs, transition, output_map, initial, input_names):
-    """Set the fields of the MooreMachine m, unchecked, and return it."""
-    set_field = object.__setattr__
-    set_field(m, "states", states)
-    set_field(m, "input_count", input_count)
-    set_field(m, "outputs", outputs)
-    set_field(m, "transition", transition)
-    set_field(m, "output_map", output_map)
-    set_field(m, "initial", initial)
-    set_field(m, "input_names", input_names)
-    return m
-
-
 def _machine(*fields) -> MooreMachine:
     """A MooreMachine of the given fields, in ``_fields`` order, without the
     checks of ``__init__``: only for callers that have established every
     invariant those checks enforce."""
-    return _fill(object.__new__(MooreMachine), *fields)
+    return object.__new__(MooreMachine)._set(*fields)
 
 
 class Counterexample(_Value):
@@ -164,20 +163,24 @@ class Counterexample(_Value):
     right_output: str
 
     def __init__(self, word, left_output, right_output):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "left_output", left_output)
-        object.__setattr__(self, "right_output", right_output)
+        self._set(word, left_output, right_output)
         if self.left_output == self.right_output:
             raise DomainError("not a counterexample: outputs agree")
-
-    def _key(self):
-        return (self.word, self.left_output, self.right_output)
 
 
 # --- words ----------------------------------------------------------------
 
+def _word(word) -> tuple:
+    """The letters of word as a tuple; DomainError if it is not iterable."""
+    try:
+        letters = iter(word)
+    except TypeError:
+        raise DomainError("word must be iterable, not %r" % (word,)) from None
+    return tuple(letters)
+
+
 def validate_word(word, q: int) -> tuple[int, ...]:
-    word = tuple(word)
+    word = _word(word)
     for j in word:
         if not isinstance(j, int) or not 0 <= j < q:
             _check_int(j, "input symbol")

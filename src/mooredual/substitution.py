@@ -11,9 +11,12 @@ from .machine import (
     MooreMachine,
     ParseError,
     _check_int,
+    _check_ordered,
     _check_tokens,
     _meaningful_lines,
     _Value,
+    _word,
+    validate_word,
 )
 
 SINK_STATE = "ω"    # absorbing padding state; not usable as a letter
@@ -44,11 +47,7 @@ class Substitution(_Value):
     initial: int
 
     def __init__(self, alphabet, rules, outputs, projection, initial):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "initial", initial)
+        self._set(alphabet, rules, outputs, projection, initial)
         n = len(self.alphabet)
         if n < 1:
             raise DomainError("substitution needs at least one letter")
@@ -87,9 +86,6 @@ class Substitution(_Value):
         object.__setattr__(self, "_pad_shape", shape)
         object.__setattr__(self, "_constant_length", min(map(len, self.rules)) == q)
         object.__setattr__(self, "_block_table", None)
-
-    def _key(self):
-        return (self.alphabet, self.rules, self.outputs, self.projection, self.initial)
 
     def _blocks(self):
         """The block table ``(t, words, prefix, offsets, column)``.
@@ -167,7 +163,7 @@ class PaddingSpec(_Value):
     templates: tuple[tuple[str, ...], ...]
 
     def __init__(self, templates):
-        object.__setattr__(self, "templates", templates)
+        self._set(templates)
         # (length, slots, padding positions) per template, kept only when the
         # templates are tuples of strings, which cannot change or fail to
         # compare; validate then passes at once if it equals the shape the
@@ -180,9 +176,6 @@ class PaddingSpec(_Value):
             shape = tuple([(len(tpl), tpl.count(SLOT), tpl.count(OMEGA))
                            for tpl in self.templates])
         object.__setattr__(self, "_shape", shape)
-
-    def _key(self):
-        return (self.templates,)
 
     @classmethod
     def default(cls, s: Substitution) -> "PaddingSpec":
@@ -223,11 +216,7 @@ class PaddedMachine(_Value):
     sink: int
 
     def __init__(self, machine, sink):
-        object.__setattr__(self, "machine", machine)
-        object.__setattr__(self, "sink", sink)
-
-    def _key(self):
-        return (self.machine, self.sink)
+        self._set(machine, sink)
 
 
 # --- letter words -----------------------------------------------------------
@@ -261,7 +250,7 @@ def apply(s: Substitution, letters):
     if isinstance(letters, str):
         letters = parse_letters(s, letters)
     out = []
-    for a in letters:
+    for a in _word(letters):
         out.extend(s.image(a))
     return tuple(out)
 
@@ -283,8 +272,10 @@ def expand_fixed_point(s: Substitution, n: int, project: bool = False):
     applied letter by letter.
     """
     check_fixed_point(s)
+    _check_ordered(n, "prefix length")
     if n < 0:
         raise DomainError("negative prefix length")
+    _check_int(n, "prefix length")
     w = (s.alphabet[s.initial],)
     while len(w) < n:
         w = apply(s, w)
@@ -341,6 +332,8 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     state = s.letter_index(a)
     q = s.q
     if k.__class__ is not int or n.__class__ is not int:
+        _check_ordered(k, "step")
+        _check_ordered(n, "index")
         if k >= 0 and n >= 0:  # a negative k or n is out of range first
             _check_int(k, "step")
             _check_int(n, "index")
@@ -377,13 +370,11 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
 
 def phi(word, q: int) -> int:
     """Weighted digit sum of a nonempty word (least significant digit first)."""
-    word = tuple(word)
+    word = validate_word(word, q)
     if not word:
         raise DomainError("the digit sum is undefined on the empty word")
     total = 0
     for j, d in enumerate(word):
-        if not 0 <= d < q:
-            raise DomainError("digit %r out of range (q=%d)" % (d, q))
         total += d * q ** j
     return total
 
@@ -478,6 +469,7 @@ def psi(pm: PaddedMachine, n: int):
     in O(L * |A| * q) for L digits; no rank is unreachable unless the language
     is finite.
     """
+    _check_ordered(n, "rank")
     if n < 0:
         raise DomainError("negative rank")
     m = pm.machine
@@ -516,7 +508,8 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     The table is read first, when k and j are ints that put j inside the
     k-th iterate and below the reach; no check can fail there, since only
     a fixed point gives the table a reach.  The descent checks the fixed
-    point, the signs of k and j, then that both are ints (a bool is one).
+    point, that k and j compare with 0, their signs, then that both are
+    ints (a bool is one).
     A padding is one comparison of shapes and of the start letter's first
     token; it is validated in full only if that comparison fails.
     """
@@ -527,6 +520,8 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
         letter = words[prefix[i]][j - offsets[i]]
     else:
         check_fixed_point(s)
+        _check_ordered(k, "iteration count")
+        _check_ordered(j, "index")
         if k < 0:
             raise DomainError("negative iteration count")
         if j < 0:

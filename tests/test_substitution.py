@@ -158,6 +158,17 @@ def test_expand_requires_fixed_point():
         expand_fixed_point(s, 4)
 
 
+def test_expand_length_must_be_an_integer(fib):
+    # small values only: unchecked, a float length is expanded to that many letters
+    for n in (1.5, 2.0, None, "x"):
+        with pytest.raises(DomainError) as err:
+            expand_fixed_point(fib, n)
+        assert str(err.value) == "prefix length must be an integer, not %r" % (n,)
+    with pytest.raises(DomainError, match="^negative prefix length$"):
+        expand_fixed_point(fib, -1.5)
+    assert expand_fixed_point(fib, True) == expand_fixed_point(fib, 1) == ("a",)
+
+
 # --- padded machines --------------------------------------------------------------
 
 def test_padded_machine_fibonacci(fib):
@@ -271,6 +282,13 @@ def test_phi_examples():
         phi((), 2)
     with pytest.raises(DomainError):
         phi((2,), 2)
+    # the digits are checked like any word's input symbols
+    for word, message in [((1.5,), "input symbol must be an integer, not 1.5"),
+                          (("1",), "input symbol must be an integer, not '1'"),
+                          (None, "word must be iterable, not None")]:
+        with pytest.raises(DomainError) as err:
+            phi(word, 2)
+        assert str(err.value) == message
 
 
 def test_psi_fibonacci(fib):

@@ -12,8 +12,10 @@ from mooredual import (
     PaddedMachine,
     PaddingSpec,
     Substitution,
+    apply,
     letter_at,
     letter_at_constant,
+    phi,
     psi,
     to_padded_machine,
 )
@@ -198,6 +200,7 @@ WORDS = {
     "right_action": lambda w: right_action(MooreMachine(**MACHINE), 0, w),
     "left_action": lambda w: left_action(MooreMachine(**MACHINE), w, 0),
     "run_right": lambda w: run_right(MooreMachine(**MACHINE), w),
+    "phi": lambda w: phi(w, 2),
 }
 
 
@@ -209,6 +212,15 @@ def test_letters_must_be_integers(call, letter):
     assert call((True, 0)) == call((1, 0))
     with pytest.raises(DomainError, match="input symbol 2 out of range"):
         call((0, 2))
+
+
+@pytest.mark.parametrize("call", [*WORDS.values(), lambda w: apply(substitution(), w)],
+                         ids=[*WORDS, "apply"])
+@pytest.mark.parametrize("word", [None, 5])
+def test_words_must_be_iterable(call, word):
+    with pytest.raises(DomainError) as err:
+        call(word)
+    assert str(err.value) == "word must be iterable, not %r" % (word,)
 
 
 FIB_PAD = PaddingSpec((("_", "_"), ("_", "w")))
@@ -228,7 +240,7 @@ QUERIES = {
 
 
 @pytest.mark.parametrize("query, fields, what", QUERIES.values(), ids=QUERIES.keys())
-@pytest.mark.parametrize("value", [1.5, 2.0, 100.0, 3.5, 10.0 ** 9])
+@pytest.mark.parametrize("value", [1.5, 2.0, 100.0, 3.5, 10.0 ** 9, None, "x"])
 def test_query_arguments_must_be_integers(query, fields, what, value):
     # once cold and once with the block table built
     for warm in (False, True):
