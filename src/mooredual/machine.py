@@ -180,6 +180,9 @@ def _word(word) -> tuple:
 
 
 def validate_word(word, q: int) -> tuple[int, ...]:
+    """The input symbols of word as a tuple; a string is read by parse_word."""
+    if isinstance(word, str):
+        return parse_word(word, q)
     word = _word(word)
     for j in word:
         if not isinstance(j, int) or not 0 <= j < q:

@@ -33,13 +33,15 @@ class Substitution(_Value):
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
     hashing and repr ignore: the rules as letter indices, the shape every
-    padding template must have, whether every image has length q, and the
+    padding template must have, whether every image has length q, the
     block table (see ``_blocks``), built by the first ``letter_at`` or
-    ``letter_at_constant``.
+    ``letter_at_constant``, and the last padding ``letter_at`` checked
+    whose templates cannot change.
     """
 
     _fields = ("alphabet", "rules", "outputs", "projection", "initial")
-    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_constant_length", "_block_table")
+    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_constant_length", "_block_table",
+                           "_checked_pad")
     alphabet: tuple[str, ...]
     rules: tuple[tuple[str, ...], ...]
     outputs: tuple[str, ...]
@@ -86,6 +88,7 @@ class Substitution(_Value):
         object.__setattr__(self, "_pad_shape", shape)
         object.__setattr__(self, "_constant_length", min(map(len, self.rules)) == q)
         object.__setattr__(self, "_block_table", None)
+        object.__setattr__(self, "_checked_pad", None)
 
     def _blocks(self):
         """The block table ``(t, words, prefix, offsets, column)``.
@@ -497,8 +500,9 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
 
     Every iterate is a prefix of the fixed point, so below the reach of the
     block table an index inside the k-th iterate (by the table's column of
-    iterate lengths) is read with one bisection of its offsets.  Otherwise
-    it is the letter the padded machine reaches on psi(j), found on the rule
+    iterate lengths) is read from the table: one index into its prefix, or
+    past the prefix one bisection of its offsets.  Otherwise it is the
+    letter the padded machine reaches on psi(j), found on the rule
     rows: padding adds only sink entries, which count no words.  The count
     stops at the first iterate longer than j, or at k, and the descent ends
     at the depth t of the block table, in a read of sigma^t of the letter
@@ -510,14 +514,19 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     a fixed point gives the table a reach.  The descent checks the fixed
     point, that k and j compare with 0, their signs, then that both are
     ints (a bool is one).
-    A padding is one comparison of shapes and of the start letter's first
-    token; it is validated in full only if that comparison fails.
+    A padding is checked once per substitution, by one comparison of shapes
+    and of the start letter's first token (in full only if that fails); it
+    is remembered only if its templates are tuples of strings, which cannot
+    change.
     """
     t, words, prefix, offsets, column = s._block_table or s._blocks()
     if (j.__class__ is int and k.__class__ is int and 0 <= j < offsets[-1] and k >= 0
             and (k >= len(column) or j < column[k])):
-        i = bisect_right(offsets, j) - 1
-        letter = words[prefix[i]][j - offsets[i]]
+        if j < len(prefix):
+            letter = s.alphabet[prefix[j]]
+        else:
+            i = bisect_right(offsets, j) - 1
+            letter = words[prefix[i]][j - offsets[i]]
     else:
         check_fixed_point(s)
         _check_ordered(k, "iteration count")
@@ -532,12 +541,13 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
         if state is None:
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
         letter = words[state][rank]
-    if pad is not None and not (
-        pad._shape == s._pad_shape and pad.templates[s.initial][0] == SLOT
-    ):
-        pad.validate(s)
-        if pad.templates[s.initial][0] != SLOT:
-            raise DomainError("numeration needs digit 0 to fix the initial letter")
+    if pad is not s._checked_pad and pad is not None:
+        if not (pad._shape == s._pad_shape and pad.templates[s.initial][0] == SLOT):
+            pad.validate(s)
+            if pad.templates[s.initial][0] != SLOT:
+                raise DomainError("numeration needs digit 0 to fix the initial letter")
+        if pad._shape is not None:
+            object.__setattr__(s, "_checked_pad", pad)
     return letter
 
 

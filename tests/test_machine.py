@@ -16,6 +16,7 @@ from mooredual.machine import (
     run_right,
     trim,
 )
+from mooredual.substitution import phi
 
 from conftest import machines, read_data, read_golden
 
@@ -145,6 +146,25 @@ def test_run_examples(paper):
     assert run_left(paper, (0, 0, 1)) == "0"
     assert run_left(paper, ()) == "0"
     assert run_left(paper, (0, 1)) == run_right(paper, (1, 0)) == "0"
+
+
+def test_string_words_read_as_parse_word_reads_them(paper):
+    for word in ("", "0", "01", "110", " 1,0,1 "):
+        digits = parse_word(word, paper.input_count)
+        assert right_action(paper, "a", word) == right_action(paper, "a", digits)
+        assert left_action(paper, word, "a") == left_action(paper, digits, "a")
+        assert run_right(paper, word) == run_right(paper, digits)
+        assert run_left(paper, word) == run_left(paper, digits)
+    assert run_right(paper, "01") == run_right(paper, (0, 1)) == "1"
+    assert phi("011", 2) == phi((0, 1, 1), 2) == 6
+    for bad, message in (("2", "input symbol 2 out of range (q=2)"),
+                         ("0x", "bad input symbol 'x' in word")):
+        for call in (lambda: run_right(paper, bad), lambda: run_left(paper, bad),
+                     lambda: right_action(paper, 0, bad), lambda: left_action(paper, bad, 0),
+                     lambda: phi(bad, 2)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def test_symbol_out_of_range(paper):

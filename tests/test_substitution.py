@@ -553,8 +553,10 @@ def assert_four_threads_agree(s, k, length):
 
 def test_warm_table_keeps_equality_hash_and_repr():
     warm, cold = fresh(LINEAR), fresh(LINEAR)
-    assert letter_at(warm, None, 10 ** 9, 500) == "c"
+    pad = PaddingSpec.default(warm)
+    assert letter_at(warm, pad, 10 ** 9, 500) == "c"
     assert warm._block_table is not None and cold._block_table is None
+    assert warm._checked_pad is pad and cold._checked_pad is None
     # the constant-length slot is index data too: flipping it changes nothing
     object.__setattr__(warm, "_constant_length", not cold._constant_length)
     assert warm == cold
@@ -562,7 +564,7 @@ def test_warm_table_keeps_equality_hash_and_repr():
     assert repr(warm) == repr(cold)
     assert pickle.dumps(warm) == pickle.dumps(cold)
     twin = pickle.loads(pickle.dumps(warm))
-    assert twin == cold and twin._block_table is None
+    assert twin == cold and twin._block_table is None and twin._checked_pad is None
     assert twin._constant_length is cold._constant_length is False
 
 
@@ -681,6 +683,29 @@ def test_letter_at_around_the_reach(bound, monkeypatch):
             assert letter_at(s, None, k, length - 1) == fixed[length - 1]
             with pytest.raises(DomainError, match="length %d" % length):
                 letter_at(s, None, k, length)
+
+
+@pytest.mark.parametrize("name", ["fib.subst", "threeletter.subst", "linear", "quadratic"])
+def test_letter_at_around_the_prefix(name):
+    # below the table's prefix a letter is read by index, from it up to the
+    # reach by bisection; both agree with the expansion at the prefix's end
+    # and on both sides of the iterates whose lengths cross it
+    s = {"linear": LINEAR, "quadratic": QUADRATIC}.get(name)
+    s = fresh(s) if s else parse_substitution(read_data(name))[0]
+    n = len(s._blocks()[2])
+    assert n == substitution._BLOCK_LETTERS
+    lengths = fixed_point_lengths(s, n)
+    cross = next(k for k, length in enumerate(lengths) if length >= n)
+    fixed = expand_fixed_point(s, max(n + 2, lengths[cross] + 1))
+    for k in (cross, cross + 1, 10 ** 9):
+        ranks = [j for j in (n - 1, n, n + 1) if k == 10 ** 9 or j < lengths[k]]
+        assert [letter_at(s, None, k, j) for j in ranks] == [fixed[j] for j in ranks]
+    for k in (cross - 1, cross):
+        length = lengths[k]
+        assert letter_at(s, None, k, length - 1) == fixed[length - 1]
+        assert letter_at(s, None, 10 ** 9, length) == fixed[length]
+        with pytest.raises(DomainError, match="length %d" % length):
+            letter_at(s, None, k, length)
 
 
 def test_fixed_point_prefix_is_read_off_in_linear_time(monkeypatch):
@@ -846,8 +871,8 @@ def test_letter_at_alternative_padding():
 # --- what a warm query checks ----------------------------------------------------------
 
 def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
-    # below the reach a warm letter_at is one table read and one comparison
-    # of padding shapes, and a warm letter_at_constant reads the
+    # below the reach a warm letter_at is one table read and at most one
+    # comparison of padding shapes, and a warm letter_at_constant reads the
     # constant-length slot; every check that depends only on the
     # substitution fails the query if it is called again
     fib, pad = parse_substitution(read_data("fib.subst"))
@@ -872,6 +897,48 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
     # the patches are live: past its step a query descends, and checks first
     with pytest.raises(AssertionError, match="checked its substitution"):
         letter_at(fib, pad, 18, len(prefix))
+
+
+def test_warm_reads_below_the_prefix_neither_bisect_nor_validate(monkeypatch):
+    # below the table's prefix a warm letter_at is one index, and a padding
+    # it has checked before is not compared or validated again
+    fib, pad = parse_substitution(read_data("fib.subst"))
+    fixed = expand_fixed_point(fib, fixed_point_lengths(fib, 18)[18])
+    n = len(fib._blocks()[2])
+    assert letter_at(fib, pad, 18, 0) == fixed[0]
+    assert fib._checked_pad is pad
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError("a warm query called " + name)
+        return call
+
+    monkeypatch.setattr(substitution, "bisect_right", refuse("bisect_right"))
+    monkeypatch.setattr(PaddingSpec, "validate", refuse("validate"))
+    # a shape that no longer matches would send an unremembered padding to
+    # a full validation
+    object.__setattr__(pad, "_shape", None)
+    for j in range(0, n, 3):
+        assert letter_at(fib, pad, 18, j) == fixed[j]
+        assert letter_at(fib, None, 10 ** 9, j) == fixed[j]
+    # the patches are live: from the prefix on the table is bisected, and a
+    # padding not yet checked is validated
+    with pytest.raises(AssertionError, match="bisect_right"):
+        letter_at(fib, pad, 18, n)
+    with pytest.raises(AssertionError, match="validate"):
+        letter_at(fib, PaddingSpec(list(pad.templates)), 18, 0)
+
+
+def test_letter_at_checks_a_mutable_padding_on_every_query(fib):
+    # a padding built from lists can change after it passed, so it is never
+    # remembered
+    pad = PaddingSpec([[SLOT, SLOT], [SLOT, OMEGA]])
+    assert letter_at(fib, pad, 18, 0) == "a"
+    pad.templates[1].append(OMEGA)
+    with pytest.raises(DomainError) as err:
+        letter_at(fib, pad, 18, 0)
+    assert str(err.value) == "template for 'b' must have length 2"
+    assert fib._checked_pad is None
 
 
 # --- error precedence --------------------------------------------------------------------
@@ -987,18 +1054,26 @@ def test_only_a_fixed_point_gives_the_table_a_reach(s):
 def test_warm_letter_at_matches_expansion_around_the_reach(subst, bound):
     # every padding the numeration accepts gives the expansion's letters,
     # below, at and past the reach, at the first step that long and at 10**9
+    # and on both sides of the end of the prefix and of the iterates whose
+    # lengths cross it
     s, custom = subst
     with mock.patch.object(substitution, "_BLOCK_LETTERS", bound):
         s = fresh(s)
-        offsets = s._blocks()[3]
-    reach = offsets[-1]
-    fixed = expand_fixed_point(s, reach + 2)
+        _, _, prefix, offsets, _ = s._blocks()
+    reach, n = offsets[-1], len(prefix)
     lengths = fixed_point_lengths(s, reach + 2)
     deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
-    ranks = sorted({0, reach // 2, max(reach - 1, 0), reach, reach + 1})
+    cross = next(r for r, length in enumerate(lengths) if length >= n)
+    fixed = expand_fixed_point(s, max(reach + 2, lengths[cross] + 1))
+    ranks = sorted({0, reach // 2, max(reach - 1, 0), reach, reach + 1, max(n - 1, 0), n, n + 1})
     for pad in (None, PaddingSpec.default(s), custom):
         for k in (deep, 10 ** 9):
             assert [letter_at(s, pad, k, j) for j in ranks] == [fixed[j] for j in ranks]
+        for k in (max(cross - 1, 0), cross):
+            length = lengths[k]
+            assert letter_at(s, pad, k, length - 1) == fixed[length - 1]
+            with pytest.raises(DomainError, match="length %d" % length):
+                letter_at(s, pad, k, length)
 
 
 # --- substitution minimization -----------------------------------------------------------
