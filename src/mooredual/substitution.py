@@ -91,17 +91,20 @@ class Substitution(_Value):
         object.__setattr__(self, "_checked_pad", None)
 
     def _blocks(self):
-        """The block table ``(t, words, prefix, offsets, column)``.
+        """The block table ``(t, words, prefix, offsets, column, levels)``.
 
         ``words[a]`` is sigma^t(a) as letter names, for the deepest t whose
         levels 0..t hold at most _BLOCK_LETTERS letters together (level 0
-        always).  ``prefix`` is the first _BLOCK_LETTERS letters of the fixed
-        point, as letter indices (empty without a fixed point), and
-        ``offsets[i]`` is where sigma^t(prefix[i]) starts in it; the last
-        offset is the reach below which ``letter_at`` reads the table.
-        ``column[r]`` is |sigma^r(start)|, up to the first r whose iterate
-        reaches that far: iterates of a fixed point strictly grow, so at most
-        reach + 1 entries ((1,) without a fixed point).
+        always).  For a constant-length substitution, which
+        ``letter_at_constant`` reads them for, ``levels[r][a]`` is
+        sigma^r(a) as letter indices, for r = 0..t (else levels is None).
+        ``prefix`` is the first _BLOCK_LETTERS letters of the fixed point, as
+        letter indices (empty without a fixed point), and ``offsets[i]`` is
+        where sigma^t(prefix[i]) starts in it; the last offset is the reach
+        below which ``letter_at`` reads the table.  ``column[r]`` is
+        |sigma^r(start)|, up to the first r whose iterate reaches that far:
+        iterates of a fixed point strictly grow, so at most reach + 1
+        entries ((1,) without a fixed point).
 
         Built on first use and published in one attribute store, so threads
         may share it.
@@ -109,33 +112,27 @@ class Substitution(_Value):
         blocks = self._block_table
         if blocks is None:
             rows = self._rows
-            words = [(a,) for a in self.alphabet]
-            depth, built = 0, len(words)
+            levels = [tuple([(a,) for a in range(len(rows))])]
+            built = len(rows)
             while True:
-                sizes = [sum([len(words[b]) for b in row]) for row in rows]
-                built += sum(sizes)
+                below = levels[-1]
+                built += sum([sum([len(below[b]) for b in row]) for row in rows])
                 if built > _BLOCK_LETTERS:
                     break
-                words = [
-                    tuple([x for b in row for x in words[b]]) for row in rows
-                ]
-                depth += 1
-            # the fixed point is the image of itself, read off as it is written
+                levels.append(tuple([tuple([x for b in row for x in below[b]]) for row in rows]))
+            names = self.alphabet
+            words = tuple([tuple([names[x] for x in word]) for word in levels[-1]])
             start = self.initial
             prefix = []
             if rows[start][0] == start and len(rows[start]) > 1:
-                prefix = list(rows[start])
-                i = 1
-                while len(prefix) < _BLOCK_LETTERS:
-                    prefix += rows[prefix[i]]
-                    i += 1
-                del prefix[_BLOCK_LETTERS:]
+                prefix = _fixed_prefix(rows, start, _BLOCK_LETTERS)
             offsets = tuple(accumulate([len(words[b]) for b in prefix], initial=0))
-            level, column = [1] * len(rows), [1]
+            lengths, column = [1] * len(rows), [1]
             while column[-1] < offsets[-1]:
-                level = _level_above(rows, level)
-                column.append(level[start])
-            blocks = (depth, tuple(words), tuple(prefix), offsets, tuple(column))
+                lengths = _level_above(rows, lengths)
+                column.append(lengths[start])
+            blocks = (len(levels) - 1, words, tuple(prefix), offsets, tuple(column),
+                      tuple(levels) if self._constant_length else None)
             object.__setattr__(self, "_block_table", blocks)
         return blocks
 
@@ -268,24 +265,32 @@ def check_fixed_point(s: Substitution):
 
 
 def expand_fixed_point(s: Substitution, n: int, project: bool = False):
-    """First n letters of the limit word, by direct iteration.
+    """First n letters of the limit word.
 
-    This is the brute-force oracle against which the digit-indexing
-    operations are checked.  With project=True the output projection is
-    applied letter by letter.
+    The fixed point is the image of itself, so it is read off as it is
+    written, one image per letter: O(n).  With project=True the output
+    projection is applied letter by letter.
     """
     check_fixed_point(s)
     _check_ordered(n, "prefix length")
     if n < 0:
         raise DomainError("negative prefix length")
     _check_int(n, "prefix length")
-    w = (s.alphabet[s.initial],)
-    while len(w) < n:
-        w = apply(s, w)
-    w = w[:n]
-    if project:
-        return tuple(s.projection[s.letter_index(a)] for a in w)
-    return w
+    names = s.projection if project else s.alphabet
+    return tuple([names[x] for x in _fixed_prefix(s._rows, s.initial, n)])
+
+
+def _fixed_prefix(rows, start, n: int) -> list:
+    """The first n letters of the fixed point at start, as letter indices;
+    rows[start] must start with start and have at least two letters.  The
+    fixed point is the image of itself, so it is read off as it is written."""
+    word = list(rows[start])
+    i = 1
+    while len(word) < n:
+        word += rows[word[i]]
+        i += 1
+    del word[n:]
+    return word
 
 
 # --- machines from substitutions ---------------------------------------------
@@ -324,15 +329,27 @@ def is_constant_length(s: Substitution) -> bool:
 def letter_at_constant(s: Substitution, k: int, a, n: int):
     """Letter n of the k-th image of letter a, via digit indexing (no expansion).
 
-    The k base-q digits of n pick an image position per step.  For k at
-    least the depth t of the block table, only the top k - t digits are
-    walked, and the last t index sigma^t of the letter reached.  The
-    leading zeros follow the first letters of the images, which cycle
-    within |A| steps, so a huge k costs no more than the digits of n.
+    For ints 0 <= k <= 2t, t the depth of the block table, a warm query is
+    one read of sigma^k(a) for k <= t, else two: the top k - t base-q digits
+    of n index sigma^(k-t)(a), and the last t sigma^t of the letter there.
+    Past 2t the top k - t digits pick an image position per step before that
+    read.  The leading zeros follow the first letters of the images, which
+    cycle within |A| steps, so a huge k costs no more than the digits of n.
     """
     if not s._constant_length:
         raise DomainError("substitution is not constant-length")
     state = s.letter_index(a)
+    t, words, _, _, _, levels = s._block_table or s._blocks()
+    if k.__class__ is int and n.__class__ is int and 0 <= k <= t + t and n >= 0:
+        if k <= t:
+            image = levels[k][state]
+            if n < len(image):
+                return s.alphabet[image[n]]
+        else:
+            hi, low = divmod(n, len(words[0]))  # every sigma^t(b) has q**t letters
+            image = levels[k - t][state]
+            if hi < len(image):
+                return words[image[hi]][low]
     q = s.q
     if k.__class__ is not int or n.__class__ is not int:
         _check_ordered(k, "step")
@@ -344,10 +361,9 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     if k < 0 or n < 0 or (n >> k or q == 1) and n >= q ** min(k, n.bit_length()):
         raise DomainError("index %d out of range for step %d" % (n, k))
     rows = s._rows
-    t, words, _, _, _ = s._block_table or s._blocks()
     low = None
     if k >= t:
-        n, low = divmod(n, len(words[0]))  # every sigma^t(b) has q**t letters
+        n, low = divmod(n, len(words[0]))
         k -= t
     digits = []  # base q, least significant first
     while n:
@@ -376,9 +392,20 @@ def phi(word, q: int) -> int:
     word = validate_word(word, q)
     if not word:
         raise DomainError("the digit sum is undefined on the empty word")
+    return _word_value(word, q)
+
+
+def _word_value(word, q: int) -> int:
+    """The value of a digit word, least significant digit first: Horner's
+    rule on at most 64 digits, and above that the low half's value plus the
+    high half's times q to the length of the low half.  Horner's rule alone
+    takes big-int work quadratic in the length of the word."""
+    if len(word) > 64:
+        half = len(word) // 2
+        return _word_value(word[:half], q) + _word_value(word[half:], q) * q ** half
     total = 0
-    for j, d in enumerate(word):
-        total += d * q ** j
+    for d in reversed(word):
+        total = total * q + d
     return total
 
 
@@ -519,7 +546,7 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     is remembered only if its templates are tuples of strings, which cannot
     change.
     """
-    t, words, prefix, offsets, column = s._block_table or s._blocks()
+    t, words, prefix, offsets, column, _ = s._block_table or s._blocks()
     if (j.__class__ is int and k.__class__ is int and 0 <= j < offsets[-1] and k >= 0
             and (k >= len(column) or j < column[k])):
         if j < len(prefix):

@@ -17,10 +17,13 @@ from mooredual.machine import (
     right_action,
     trim,
 )
+from mooredual.substitution import apply, check_fixed_point
 
 # Same examples on every run; no per-example deadline on a loaded host.
+# HYPOTHESIS_PROFILE=ci draws new, and more, examples on every run instead.
 settings.register_profile("fixed", derandomize=True, deadline=None)
-settings.load_profile("fixed")
+settings.register_profile("ci", derandomize=False, max_examples=300, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fixed"))
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -234,6 +237,21 @@ def full_transformation_machine(n):
         output_map=tuple("1" if s == 0 else "0" for s in range(n)),
         initial=0,
     )
+
+
+def fixed_point_by_levels(s, n, project=False):
+    """First n letters of the fixed point of s, by applying s to the whole
+    word once per level: the definition that expand_fixed_point and the block
+    table's prefix, which read the fixed point as it is written, are checked
+    against."""
+    check_fixed_point(s)
+    w = (s.alphabet[s.initial],)
+    while len(w) < n:
+        w = apply(s, w)
+    w = w[:n]
+    if project:
+        return tuple(s.projection[s.alphabet.index(a)] for a in w)
+    return w
 
 
 def base_digits(n, q):

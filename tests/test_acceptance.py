@@ -33,6 +33,7 @@ from conftest import (
     DATA,
     dual_via_left_definition,
     dual_via_right_definition,
+    fixed_point_by_levels,
     read_data,
     read_golden,
     random_word,
@@ -164,7 +165,7 @@ def test_criterion_7_numeration(fib):
     k = 12
     length = fixed_point_lengths(fib, k)[k]
     assert length >= 200
-    prefix = expand_fixed_point(fib, length)
+    prefix = fixed_point_by_levels(fib, length)
     for j in range(length):
         assert letter_at(fib, None, k, j) == prefix[j]
     report(7, "rank numeration matches expansion up to %d letters" % length)

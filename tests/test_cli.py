@@ -7,9 +7,16 @@ from hypothesis import given, strategies as st
 
 from mooredual.cli import run_cli
 from mooredual.machine import MooreMachine, emit_machine, parse_machine, to_dot
-from mooredual.substitution import expand_fixed_point, parse_substitution
+from mooredual.substitution import parse_substitution
 
-from conftest import DATA, full_transformation_machine, read_data, read_golden, run_fresh
+from conftest import (
+    DATA,
+    fixed_point_by_levels,
+    full_transformation_machine,
+    read_data,
+    read_golden,
+    run_fresh,
+)
 
 EXAMPLE = str(DATA / "example.moore")
 EXAMPLE_MIN = str(DATA / "example_min.moore")
@@ -202,7 +209,7 @@ def test_subst_letter_long_iterates(capsys):
     # in range, though the candidate sweep psi once used stopped short of it
     code, out, _ = run(capsys, "subst", "letter", FIB, "-k", "24", "-n", "121392")
     s, _ = parse_substitution(read_data("fib.subst"))
-    assert (code, out) == (0, expand_fixed_point(s, 121393)[-1] + "\n")
+    assert (code, out) == (0, fixed_point_by_levels(s, 121393)[-1] + "\n")
     # the descent stops at the first iterate longer than n, whatever k is
     code, out, _ = run(capsys, "subst", "letter", FIB, "-k", "100000000", "-n", "5")
     assert (code, out) == (0, "a\n")

@@ -37,7 +37,13 @@ from mooredual.substitution import (
     to_padded_machine,
 )
 
-from conftest import base_digits, language_words, read_data, substitutions_isomorphic
+from conftest import (
+    base_digits,
+    fixed_point_by_levels,
+    language_words,
+    read_data,
+    substitutions_isomorphic,
+)
 
 
 def fresh(s):
@@ -291,6 +297,25 @@ def test_phi_examples():
         assert str(err.value) == message
 
 
+@given(st.integers(1, 12).flatmap(
+    lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=80))))
+def test_phi_is_the_weighted_digit_sum(case):
+    q, word = case
+    assert phi(word, q) == sum(d * q ** j for j, d in enumerate(word))
+    assert phi(tuple(word), q) == phi(word, q)
+
+
+def test_phi_of_a_long_word_is_fast():
+    # summing d * q**j, or Horner's rule alone, takes big-int work
+    # quadratic in the length of the word
+    word = [1, 0] * (5 * 10 ** 4)
+    start = time.perf_counter()
+    value = phi(word, 2)
+    assert time.perf_counter() - start < 0.25
+    assert value == (4 ** (5 * 10 ** 4) - 1) // 3
+    assert phi([2] * 10 ** 5, 3) == 3 ** 10 ** 5 - 1
+
+
 def test_psi_fibonacci(fib):
     pm = to_padded_machine(fib)
     assert [psi(pm, n) for n in range(5)] == [(0,), (1,), (0, 1), (0, 0, 1), (1, 0, 1)]
@@ -347,6 +372,28 @@ def assert_psi_matches_oracle(pm, max_numerals=500):
     assert len(psi(pm, len(words))) > max_len
 
 
+@given(padded_substitutions(), st.data(), st.integers(0, 300))
+def test_expand_matches_level_by_level_iteration(subst, data, n):
+    # read off as it is written, the fixed point is the one that applying
+    # the substitution level by level gives, projected or not
+    s = subst[0]
+    projection = tuple(data.draw(st.sampled_from("01")) for _ in s.alphabet)
+    s = Substitution(s.alphabet, s.rules, ("0", "1"), projection, s.initial)
+    assert expand_fixed_point(s, n) == fixed_point_by_levels(s, n)
+    assert expand_fixed_point(s, n, project=True) == fixed_point_by_levels(s, n, project=True)
+
+
+def test_expand_is_linear_in_the_prefix_length():
+    # one image per letter: applying LINEAR to the whole word once per level
+    # is quadratic in the prefix length
+    start = time.perf_counter()
+    word = expand_fixed_point(LINEAR, 10 ** 5)
+    projected = expand_fixed_point(LINEAR, 10 ** 5, project=True)
+    assert time.perf_counter() - start < 0.5
+    assert word == ("a",) + tuple("bc"[j % 2] for j in range(10 ** 5 - 1))
+    assert projected == ("0",) * 10 ** 5
+
+
 def assert_letter_at_matches_oracles(s, pad, max_length=120):
     """letter_at agrees with direct expansion and with the paper's route, the
     padded machine run on psi(j), at every index of the longest iterate (up
@@ -354,7 +401,7 @@ def assert_letter_at_matches_oracles(s, pad, max_length=120):
     pm = to_padded_machine(s, pad)
     lengths = fixed_point_lengths(s, 8)
     k = max(r for r, length in enumerate(lengths) if length <= max_length)
-    prefix = expand_fixed_point(s, lengths[k])
+    prefix = fixed_point_by_levels(s, lengths[k])
     for j, expected in enumerate(prefix):
         assert letter_at(s, pad, k, j) == expected
         state = left_action(pm.machine, psi(pm, j), pm.machine.initial)
@@ -442,7 +489,7 @@ def test_letter_at_long_iterates(fib):
     # the descent stops at the shortest iterate longer than j, and k = 60
     # has about 2.5 * 10**12 letters, so neither sweeps anything
     start = time.monotonic()
-    assert letter_at(fib, None, 10 ** 8, 5) == expand_fixed_point(fib, 6)[5]
+    assert letter_at(fib, None, 10 ** 8, 5) == fixed_point_by_levels(fib, 6)[5]
     last = fixed_point_lengths(fib, 60)[60] - 1
     pm = to_padded_machine(fib)
     assert letter_at(fib, None, 60, last) == "a"  # even iterates end in a
@@ -484,7 +531,7 @@ def test_unrank_recounts_blocks_exactly(kept, monkeypatch):
 
     monkeypatch.setattr(substitution, "_recount", counted_recount)
     linear = fresh(LINEAR)
-    prefix = expand_fixed_point(linear, 300)
+    prefix = fixed_point_by_levels(linear, 300)
     assert tuple(letter_at(linear, None, 10 ** 9, j) for j in range(300)) == prefix
     # past the reach of the block table, letter_at descends through the gaps too
     assert letter_at(linear, None, 10 ** 9, 5001) == "b"
@@ -501,7 +548,7 @@ def test_letter_at_descending_then_ascending(name, k):
     # the first query builds the block table, later ones only read it
     for s in (parse_substitution(read_data(name))[0], fresh(LINEAR)):
         length = fixed_point_lengths(s, k)[k]
-        prefix = expand_fixed_point(s, length)
+        prefix = fixed_point_by_levels(s, length)
         assert letter_at(s, None, k, 1) == prefix[1]
         table = s._block_table
         snapshot = copy.deepcopy(table)
@@ -528,7 +575,7 @@ def test_letter_at_threads_share_one_table():
 def assert_four_threads_agree(s, k, length):
     """Four threads ask s for every letter of its k-th iterate (of ``length``
     letters), each in its own order, and all get the expansion's letters."""
-    prefix = expand_fixed_point(fresh(s), length)
+    prefix = fixed_point_by_levels(fresh(s), length)
     ranks = list(range(length))
     orders = [ranks, ranks[::-1]] + [random.Random(i).sample(ranks, length) for i in (1, 2)]
     answers = [None] * len(orders)
@@ -604,9 +651,9 @@ def test_block_table_published_once(monkeypatch):
     assert s._block_table is None
     assert letter_at(s, None, 10 ** 9, 3) == "b"
     blocks = s._block_table
-    t, _, _, offsets, _ = blocks
+    t, _, _, offsets, _, _ = blocks
     reach = offsets[-1]
-    prefix = expand_fixed_point(cold, 201)
+    prefix = fixed_point_by_levels(cold, 201)
     # past the reach, in the start letter's block, at its edge, at the reach
     ranks = (200, 0, t, t + 1, 5, reach - 1, reach, reach + 1)
     assert [letter_at(s, None, 10 ** 9, j) for j in ranks] == [prefix[j] for j in ranks]
@@ -625,7 +672,7 @@ def test_block_table_build_is_bounded(s):
     # the bound counts the letters of every level built, so growth as slow
     # as LINEAR's still builds only O(bound) letters, in few levels
     s = fresh(s)
-    t, words, prefix, offsets, _ = s._blocks()
+    t, words, prefix, offsets, _, _ = s._blocks()
     bound = substitution._BLOCK_LETTERS
     levels = [[1] * len(s.alphabet)]
     for _ in range(t + 1):
@@ -646,7 +693,7 @@ def test_block_table_column_stops_at_the_reach(bound, monkeypatch):
         monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
     for s in data + [LINEAR, QUADRATIC]:
-        offsets, column = fresh(s)._blocks()[3:]
+        offsets, column = fresh(s)._blocks()[3:5]
         reach = offsets[-1]
         assert all(a < b for a, b in zip(column, column[1:]))
         assert list(column) == fixed_point_lengths(s, len(column) - 1)
@@ -669,10 +716,10 @@ def test_letter_at_around_the_reach(bound, monkeypatch):
     monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
     for s in data + [fresh(LINEAR), fresh(QUADRATIC)]:
-        t, words, prefix, offsets, _ = s._blocks()
+        t, words, prefix, offsets, _, _ = s._blocks()
         reach = offsets[-1]
         assert len(prefix) == bound and len(offsets) == bound + 1
-        fixed = expand_fixed_point(s, reach + 2)
+        fixed = fixed_point_by_levels(s, reach + 2)
         assert prefix == tuple(s.alphabet.index(a) for a in fixed[:bound])
         lengths = fixed_point_lengths(s, 200)
         deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
@@ -696,7 +743,7 @@ def test_letter_at_around_the_prefix(name):
     assert n == substitution._BLOCK_LETTERS
     lengths = fixed_point_lengths(s, n)
     cross = next(k for k, length in enumerate(lengths) if length >= n)
-    fixed = expand_fixed_point(s, max(n + 2, lengths[cross] + 1))
+    fixed = fixed_point_by_levels(s, max(n + 2, lengths[cross] + 1))
     for k in (cross, cross + 1, 10 ** 9):
         ranks = [j for j in (n - 1, n, n + 1) if k == 10 ** 9 or j < lengths[k]]
         assert [letter_at(s, None, k, j) for j in ranks] == [fixed[j] for j in ranks]
@@ -727,7 +774,8 @@ def test_fixed_point_prefix_is_read_off_in_linear_time(monkeypatch):
         assert len(reads) <= bound + 3
         # the fixed point reads a, then b at odd and c at even indices
         assert prefix == (0,) + tuple(2 - j % 2 for j in range(1, bound))
-    assert prefix[:600] == tuple(LINEAR.alphabet.index(a) for a in expand_fixed_point(LINEAR, 600))
+    fixed = fixed_point_by_levels(LINEAR, 600)
+    assert prefix[:600] == tuple(LINEAR.alphabet.index(a) for a in fixed)
 
 
 # no letter starts its own image, so there is no fixed point to index
@@ -740,7 +788,7 @@ def test_no_fixed_point_builds_an_empty_prefix(bound, monkeypatch):
         monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     s = fresh(ROTATING)
     blocks = s._blocks()
-    t, words, prefix, offsets, column = blocks
+    t, words, prefix, offsets, column, _ = blocks
     assert (prefix, offsets, column) == ((), (0,), (1,))
     with pytest.raises(DomainError, match="no fixed point"):
         letter_at(s, None, 1, 0)
@@ -776,6 +824,63 @@ def assert_letter_at_constant_matches_expansion(s, steps):
 @given(constant_substitutions())
 def test_letter_at_constant_matches_expansion_random(s):
     assert_letter_at_constant_matches_expansion(s, 5)
+
+
+def image_letter(s, k, a, n, expanded):
+    """Letter n of sigma^k(a) for a constant-length s, from expansions of at
+    most 8 steps, kept in the dict ``expanded``: sigma^k(a) is sigma^(k-8)
+    applied to sigma^8(a), so letter n is letter n mod q^(k-8) of the image
+    of letter n div q^(k-8)."""
+    while True:
+        m = min(k, 8)
+        if (a, m) not in expanded:
+            expanded[a, m] = expand_iterate(s, a, m)
+        below = s.q ** (k - m)
+        a, n, k = expanded[a, m][n // below], n % below, k - m
+        if k == 0:
+            return a
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 64, substitution._BLOCK_LETTERS])
+@given(s=constant_substitutions(), data=st.data())
+def test_letter_at_constant_on_both_sides_of_t_and_2t(bound, s, data):
+    # with the table at depth t, steps 0..t are one read, t+1..2t two, and
+    # later ones walk digits; every letter agrees with the expansion at every
+    # step to 2t + 2, at every index of images up to 2048 letters and at the
+    # block edges and drawn indices of longer ones, and the first index past
+    # an image is out of range
+    with mock.patch.object(substitution, "_BLOCK_LETTERS", bound):
+        s = fresh(s)
+        t = s._blocks()[0]
+    q, block, expanded = s.q, s.q ** t, {}
+    for a in s.alphabet:
+        word = (a,)
+        for k in range(2 * t + 3):
+            size = q ** k
+            if size <= 2048:
+                assert tuple(letter_at_constant(s, k, a, n) for n in range(size)) == word
+                word = apply(s, word)
+            else:
+                drawn = data.draw(st.lists(st.integers(0, size - 1), max_size=4))
+                edges = {0, block - 1, block, size - block - 1, size - block, size - 1}
+                ranks = sorted(n for n in edges.union(drawn) if 0 <= n < size)
+                assert ([letter_at_constant(s, k, a, n) for n in ranks]
+                        == [image_letter(s, k, a, n, expanded) for n in ranks])
+            try:  # not pytest.raises: for q = 1, t is in the thousands
+                letter_at_constant(s, k, a, size)
+                raise AssertionError("index %d accepted for step %d" % (size, k))
+            except DomainError as err:
+                assert str(err) == "index %d out of range for step %d" % (size, k)
+
+
+def test_non_constant_errors_build_no_table():
+    # the constant-length check comes first, before the table is built
+    s = fresh(UNEVEN)
+    queries = ((2, "i", 1), (0, "i", 0), (-1, "z", 5), (10 ** 9, 0, 2 ** 40), (1.5, "i", None))
+    for k, a, n in queries:
+        with pytest.raises(DomainError, match="^substitution is not constant-length$"):
+            letter_at_constant(s, k, a, n)
+    assert s._block_table is None
 
 
 @pytest.mark.parametrize("templates", [
@@ -844,7 +949,7 @@ def test_letter_at_checks_padding():
 
 
 def test_letter_at_matches_expansion(fib):
-    prefix = expand_fixed_point(fib, fixed_point_lengths(fib, 8)[8])
+    prefix = fixed_point_by_levels(fib, fixed_point_lengths(fib, 8)[8])
     for j, expected in enumerate(prefix):
         assert letter_at(fib, None, 8, j) == expected
 
@@ -863,7 +968,7 @@ def test_letter_at_alternative_padding():
         (OMEGA, SLOT),
         (SLOT, SLOT),
     ))
-    prefix = expand_fixed_point(s, 40)
+    prefix = fixed_point_by_levels(s, 40)
     for j in range(40):
         assert letter_at(s, pad, 12, j) == prefix[j]
 
@@ -877,10 +982,11 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
     # substitution fails the query if it is called again
     fib, pad = parse_substitution(read_data("fib.subst"))
     const = parse_substitution(read_data("threeletter.subst"))[0]
-    prefix = expand_fixed_point(fib, fixed_point_lengths(fib, 18)[18])
-    image = expand_iterate(const, "i", 11)
+    prefix = fixed_point_by_levels(fib, fixed_point_lengths(fib, 18)[18])
+    t = const._blocks()[0]
+    steps = (t, t + 1, 11, 2 * t)  # one table read, then two
+    images = {k: expand_iterate(const, "i", k) for k in steps}
     assert letter_at(fib, pad, 18, 0) == prefix[0]
-    assert letter_at_constant(const, 11, "i", 0) == image[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a warm query checked its substitution again")
@@ -892,18 +998,37 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
     for j in range(0, len(prefix), 7):
         assert letter_at(fib, pad, 18, j) == prefix[j]
         assert letter_at(fib, None, 10 ** 9, j) == prefix[j]
-    for n in range(0, len(image), 5):
-        assert letter_at_constant(const, 11, "i", n) == image[n]
-    # the patches are live: past its step a query descends, and checks first
+    # up to step 2t a warm letter_at_constant neither walks the digits on the
+    # rule rows nor raises q to a power
+    object.__setattr__(const, "_rows", _Refused())
+    object.__setattr__(const, "q", _Refused())
+    for k, image in images.items():
+        for n in range(0, len(image), 5 if k < 2 * t else 997):
+            assert letter_at_constant(const, k, "i", n) == image[n]
+    # the patches are live: past its step a query descends, and checks first,
+    # and past step 2t the digits are walked
     with pytest.raises(AssertionError, match="checked its substitution"):
         letter_at(fib, pad, 18, len(prefix))
+    with pytest.raises(AssertionError, match="digit walk"):
+        letter_at_constant(const, 2 * t + 1, "i", 0)
+
+
+class _Refused:
+    """Stands in for the rule rows and q: any use fails the query."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a warm query made a digit walk or took a power")
+
+    __getitem__ = __len__ = __iter__ = __bool__ = __index__ = __int__ = _refuse
+    __pow__ = __rpow__ = __mul__ = __rmul__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
 
 
 def test_warm_reads_below_the_prefix_neither_bisect_nor_validate(monkeypatch):
     # below the table's prefix a warm letter_at is one index, and a padding
     # it has checked before is not compared or validated again
     fib, pad = parse_substitution(read_data("fib.subst"))
-    fixed = expand_fixed_point(fib, fixed_point_lengths(fib, 18)[18])
+    fixed = fixed_point_by_levels(fib, fixed_point_lengths(fib, 18)[18])
     n = len(fib._blocks()[2])
     assert letter_at(fib, pad, 18, 0) == fixed[0]
     assert fib._checked_pad is pad
@@ -1059,12 +1184,12 @@ def test_warm_letter_at_matches_expansion_around_the_reach(subst, bound):
     s, custom = subst
     with mock.patch.object(substitution, "_BLOCK_LETTERS", bound):
         s = fresh(s)
-        _, _, prefix, offsets, _ = s._blocks()
+        _, _, prefix, offsets, _, _ = s._blocks()
     reach, n = offsets[-1], len(prefix)
     lengths = fixed_point_lengths(s, reach + 2)
     deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
     cross = next(r for r, length in enumerate(lengths) if length >= n)
-    fixed = expand_fixed_point(s, max(reach + 2, lengths[cross] + 1))
+    fixed = fixed_point_by_levels(s, max(reach + 2, lengths[cross] + 1))
     ranks = sorted({0, reach // 2, max(reach - 1, 0), reach, reach + 1, max(n - 1, 0), n, n + 1})
     for pad in (None, PaddingSpec.default(s), custom):
         for k in (deep, 10 ** 9):
