@@ -126,9 +126,11 @@ def _run_moore(args_list) -> int:
         _write(text, args.output)
         return EXIT_OK
 
+    # the remaining commands compare two machines
+    m1 = parse_machine(_read(args.file1))
+    m2 = parse_machine(_read(args.file2))
+
     if cmd == "equiv":
-        m1 = parse_machine(_read(args.file1))
-        m2 = parse_machine(_read(args.file2))
         verdict = equivalent(m1, m2)
         if verdict is True:
             print("equivalent")
@@ -140,8 +142,6 @@ def _run_moore(args_list) -> int:
         return EXIT_NEGATIVE
 
     if cmd == "iso":
-        m1 = parse_machine(_read(args.file1))
-        m2 = parse_machine(_read(args.file2))
         mapping = isomorphic(m1, m2)
         if mapping is None:
             print("not isomorphic")
@@ -151,8 +151,6 @@ def _run_moore(args_list) -> int:
         return EXIT_OK
 
     if cmd == "product":
-        m1 = parse_machine(_read(args.file1))
-        m2 = parse_machine(_read(args.file2))
         _write(emit_machine(product(m1, m2, args.combine)), args.output)
         return EXIT_OK
 

@@ -6,10 +6,13 @@ from collections import deque
 from itertools import count
 from operator import itemgetter
 
-from .machine import Counterexample, DomainError, MooreMachine, _machine, _reachable, trim
+from .machine import (Counterexample, DomainError, MooreMachine, _check_machine, _machine,
+                      _reachable, trim)
 
 
 def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
+    _check_machine(m1)
+    _check_machine(m2)
     if m1.input_count != m2.input_count:
         raise DomainError(
             "input counts differ: %d vs %d" % (m1.input_count, m2.input_count)
@@ -46,9 +49,7 @@ def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
     order = [start]
     index = {start: 0}
     rows = []
-    pos = 0
-    while pos < len(order):
-        a1, a2 = order[pos]
+    for a1, a2 in order:  # the list grows as pairs are discovered
         row = []
         for j in range(m1.input_count):
             p = (m1.transition[a1][j], m2.transition[a2][j])
@@ -59,7 +60,6 @@ def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
                 order.append(p)
             row.append(k)
         rows.append(tuple(row))
-        pos += 1
 
     return MooreMachine(
         states=tuple(_pair(m1.states[a1], m2.states[a2]) for a1, a2 in order),
@@ -105,6 +105,7 @@ def states_equivalent(m: MooreMachine, a, b) -> bool:
     """Whether states a and b give equal outputs on every word."""
     # A product search, not the refinement minimize uses, so the tests can
     # hold minimize to an independent algorithm.
+    _check_machine(m)
     a, b = m.state_index(a), m.state_index(b)
     fields = (m.states, m.input_count, m.outputs, m.transition, m.output_map)
     return equivalent(MooreMachine(*fields, a, m.input_names),
@@ -166,25 +167,24 @@ def _refine(outs, cols) -> list[int]:
     """state_classes of a trimmed machine given by its outputs and columns.
 
     A round gives each state the signature (its block, the blocks of its
-    successors), one C-level pass per column, and labels each state with the
-    lowest state of its signature: zipping the signatures in reverse leaves
-    that index as each key's value.  The labels name the blocks in order of
+    successors), one C-level pass per column, and labels each state with
+    the first, so lowest, state of its signature in one ``setdefault`` pass,
+    which hashes each signature once.  The labels name the blocks in order of
     first appearance, so numbering them densely at the end gives the classes.
     """
     n = len(outs)
-    down = range(n - 1, -1, -1)
-    lowest = dict(zip(reversed(outs), down))
-    block = list(map(lowest.__getitem__, outs))
+    lowest = {}
+    block = list(map(lowest.setdefault, outs, range(n)))
     blocks = len(lowest)
     if blocks < n:
         gathers = [itemgetter(*col) for col in cols]  # n > 1: each gives a tuple
     while blocks < n:
-        sigs = list(zip(block, *[gather(block) for gather in gathers]))
-        lowest = dict(zip(reversed(sigs), down))
+        lowest = {}
+        block = list(map(lowest.setdefault,
+                         zip(block, *[gather(block) for gather in gathers]), range(n)))
         if len(lowest) == blocks:  # refinement only splits, so no block split
             ids = dict(zip(dict.fromkeys(block), count()))
             return list(map(ids.__getitem__, block))
-        block = list(map(lowest.__getitem__, sigs))
         blocks = len(lowest)
     return block  # every state its own lowest member: the classes 0..n-1
 

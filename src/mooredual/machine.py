@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from operator import itemgetter
 
 
@@ -18,7 +19,8 @@ class _Value:
     """Base of the immutable value classes.
 
     Each subclass names its fields in ``_fields``.  Its constructor stores
-    them with ``_set``, and ``_key()`` reads them back, both in that order.
+    them with ``_set``, by their slots' ``__set__``, and ``_key()`` reads
+    them back, both in that order.
     Equality, hashing, repr and pickling go by ``_key()``, so further slots
     a subclass declares, set with ``object.__setattr__``, are left out.
     Any other assignment or deletion raises AttributeError.
@@ -27,10 +29,13 @@ class _Value:
     __slots__ = ()
     _fields = ()
 
+    def __init_subclass__(cls):
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
+
     def _set(self, *values):
         """Store values into the fields, in ``_fields`` order; return self."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, values):
+            store(self, value)
         return self
 
     def _key(self):
@@ -147,6 +152,12 @@ class MooreMachine(_Value):
         return self.input_names[j] if self.input_names else str(j)
 
 
+def _check_machine(m):
+    """Raise DomainError unless m is a MooreMachine."""
+    if not isinstance(m, MooreMachine):
+        raise DomainError("expected a MooreMachine, not %r" % (m,))
+
+
 def _machine(*fields) -> MooreMachine:
     """A MooreMachine of the given fields, in ``_fields`` order, without the
     checks of ``__init__``: only for callers that have established every
@@ -257,6 +268,7 @@ def run_left(m: MooreMachine, w) -> str:
 def _reachable(m: MooreMachine):
     """The states reachable from the initial one, in breadth-first order with
     letters ascending, and the map from each to its position in that order."""
+    _check_machine(m)
     order = [m.initial]
     remap = {m.initial: 0}
     table = m.transition
@@ -303,10 +315,11 @@ def parse_machine(text: str) -> MooreMachine:
     """Parse .moore text into a validated machine (state order = declaration order).
 
     One pass over the lines collects the declarations and the transitions;
-    one pass over the transitions fills the table.  Errors are reported in
-    a fixed order: the first malformed line, a missing declaration, an
-    unknown output or initial state, the first bad transition line, then
-    the first missing transition.
+    one pass over the transitions fills the table by lookups alone, and
+    diagnoses a line whose lookup fails, or, for a token read by value such
+    as '01', learns it and resumes at that line.  Errors come in a fixed
+    order: the first malformed line, a missing declaration, an unknown output
+    or initial state, the first bad transition line, the first missing one.
     """
     lines = _meaningful_lines(text)
     first = next(lines, None)
@@ -318,7 +331,6 @@ def parse_machine(text: str) -> MooreMachine:
     outputs = None
     names = []         # state names in declaration order
     outs = []          # output symbol per state
-    out_lines = []     # line of each state
     state_pos = {}
     initial_name = None
     trans = []         # (line, ['trans', source, input token, target])
@@ -338,7 +350,6 @@ def parse_machine(text: str) -> MooreMachine:
             state_pos[name] = len(names)
             names.append(name)
             outs.append(toks[2])
-            out_lines.append(lineno)
         elif key == "inputs":
             if q is not None:
                 raise ParseError("line %d: duplicate 'inputs' declaration" % lineno)
@@ -383,9 +394,11 @@ def parse_machine(text: str) -> MooreMachine:
         raise ParseError("missing 'initial' declaration")
 
     declared = set(outputs)
-    for out, lineno in zip(outs, out_lines):
-        if out not in declared:
-            raise ParseError("line %d: unknown output token %r" % (lineno, out))
+    if not declared.issuperset(outs):
+        out = next(out for out in outs if out not in declared)
+        lineno = next(n for n, toks in _meaningful_lines(text)
+                      if toks[0] == "state" and toks[2] == out)
+        raise ParseError("line %d: unknown output token %r" % (lineno, out))
     init_name, init_line = initial_name
     if init_name not in state_pos:
         raise ParseError("line %d: unknown state %r" % (init_line, init_name))
@@ -402,22 +415,26 @@ def parse_machine(text: str) -> MooreMachine:
     # With fewer, some cell is missing; as nq may then be huge, keep only
     # the cells named.
     cells = [None] * nq if nq <= len(trans) else defaultdict(lambda: None)
-    for lineno, (_, src, inp, dst) in trans:
-        a = state_pos.get(src)
-        if a is None:
-            raise ParseError("line %d: unknown state %r" % (lineno, src))
-        t = state_pos.get(dst)
-        if t is None:
-            raise ParseError("line %d: unknown state %r" % (lineno, dst))
-        j = token.get(inp)
-        if j is None:
+    rest = todo = iter(trans)
+    while True:
+        try:
+            for lineno, (_, src, inp, dst) in todo:
+                k, t = state_pos[src] * q + token[inp], state_pos[dst]
+                if cells[k] is not None:
+                    raise ParseError(
+                        "line %d: duplicate transition for %s on %s" % (lineno, src, inp))
+                cells[k] = t
+            break
+        except KeyError:
+            for name in (src, dst):
+                if name not in state_pos:
+                    raise ParseError("line %d: unknown state %r" % (lineno, name)) from None
             j = _digit_value(inp)
             if j is None or j >= q:
-                raise ParseError("line %d: unknown input token %r" % (lineno, inp))
-        k = a * q + j
-        if cells[k] is not None:
-            raise ParseError("line %d: duplicate transition for %s on %s" % (lineno, src, inp))
-        cells[k] = t
+                raise ParseError("line %d: unknown input token %r" % (lineno, inp)) from None
+            token[inp] = j
+            # resume at this line, chained onto the list's iterator: never nested
+            todo = chain([(lineno, ("trans", src, inp, dst))], rest)
 
     if nq > len(trans):
         # the first cell absent, within len(trans) + 1 probes
@@ -431,7 +448,7 @@ def parse_machine(text: str) -> MooreMachine:
         tuple(names),
         q,
         outputs,
-        tuple([tuple(cells[k : k + q]) for k in range(0, nq, q)]),
+        tuple(zip(*[iter(cells)] * q)),
         tuple(outs),
         state_pos[init_name],
         input_names,

@@ -103,6 +103,31 @@ def test_product_input_mismatch(paper):
         product(paper, other)
 
 
+# Each MooreMachine entry point, with a non-machine x in one machine's place
+NON_MACHINE_CALLS = {
+    "minimize": lambda m, x: minimize(x),
+    "state_classes": lambda m, x: state_classes(x),
+    "normal_form": lambda m, x: normal_form(x),
+    "states_equivalent": lambda m, x: states_equivalent(x, 0, 1),
+    "trim": lambda m, x: trim(x),
+    "dual": lambda m, x: dual(x),
+    "equivalent(m, x)": lambda m, x: equivalent(m, x),
+    "equivalent(x, m)": lambda m, x: equivalent(x, m),
+    "product(m, x)": lambda m, x: product(m, x),
+    "product(x, m)": lambda m, x: product(x, m),
+    "isomorphic(m, x)": lambda m, x: isomorphic(m, x),
+    "isomorphic(x, m)": lambda m, x: isomorphic(x, m),
+}
+
+
+@pytest.mark.parametrize("value", [None, "x", 1])
+@pytest.mark.parametrize("call", list(NON_MACHINE_CALLS.values()), ids=list(NON_MACHINE_CALLS))
+def test_non_machine_arguments(paper, call, value):
+    with pytest.raises(DomainError) as info:
+        call(paper, value)
+    assert str(info.value) == "expected a MooreMachine, not %r" % (value,)
+
+
 def test_product_combiner_names(paper):
     other = MooreMachine(("s",), 2, ("x", "y"), ((0, 0),), ("y",), 0)
     assert product(paper, other, "pair").outputs == ("(0,x)", "(0,y)", "(1,x)", "(1,y)")

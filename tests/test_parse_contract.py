@@ -96,6 +96,14 @@ PRECEDENCE = [
     (HEAD + "trans s 0 s\ntrans s 0 s\ntrans z 0 s\n", "line 8: duplicate transition for s on 0"),
     (HEAD + "trans s 0 s\ntrans z 0 s\ntrans s 0 s\n", "line 8: unknown state 'z'"),
     (HEAD + "trans s 0 s\ntrans s 5 s\ntrans s 0 s\n", "line 8: unknown input token '5'"),
+    (HEAD + "trans s 0 s\ntrans s 0 z\n", "line 8: unknown state 'z'"),
+    # a token read by value ('01' is input 1) keeps that order: an unknown
+    # state beats it, and it fills its cell like any other token
+    (HEAD + "trans s 01 z\n", "line 7: unknown state 'z'"),
+    (HEAD + "trans z 01 s\n", "line 7: unknown state 'z'"),
+    (HEAD + "trans s 01 s\ntrans s 1 s\n", "line 8: duplicate transition for s on 1"),
+    (HEAD + "trans s 01 s\ntrans s 02 s\n", "line 8: unknown input token '02'"),
+    (HEAD + "trans s 001 t\ntrans s 0 s\ntrans s 1 s\n", "line 9: duplicate transition for s on 1"),
     # a duplicate or unknown-state transition beats a missing one
     (HEAD + "trans s 0 s\ntrans s 0 t\n", "line 8: duplicate transition for s on 0"),
     (HEAD + "trans s 0 s\ntrans s 1 z\n", "line 8: unknown state 'z'"),
@@ -166,6 +174,18 @@ def test_digit_count_with_leading_zeros():
     m = parse_machine(text)
     assert m.input_count == 3 and m.input_names is None
     assert m.transition == ((0, 0, 0),)
+
+
+def test_every_token_read_by_value():
+    # each line's token is new to the fill, which resumes at every line: a
+    # resume that wrapped the rest of the lines again would be quadratic
+    q = 20000
+    text = "moore v1\ninputs %d\noutputs 0\nstate s 0\ninitial s\n" % q + "".join(
+        "trans s 0%d s\n" % j for j in range(q))
+    t0 = time.perf_counter()
+    m = parse_machine(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert m.transition == ((0,) * q,)
 
 
 def test_mid_line_comments():
