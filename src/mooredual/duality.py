@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .machine import DomainError, MooreMachine, _check_int, trim
+from .machine import DomainError, MooreMachine, _check_int, _closure, _machine, trim
 
 # Default budget of a closure; that many vectors over 40 states take about 150 MB.
 MAX_DUAL_STATES = 2 ** 18
@@ -25,8 +25,8 @@ def dual_with_vectors(m: MooreMachine, max_states: int = MAX_DUAL_STATES):
     states would only inflate the coordinates.  The dual swaps reading
     directions: feeding it a word on the left gives what the base machine
     outputs on the right, and vice versa.  It has up to |Delta|^|Q| states:
-    one with more than ``max_states`` is a DomainError, raised once the
-    closure finds that many.
+    one with more than ``max_states`` is a DomainError, raised as soon as the
+    closure finds one more.
     """
     _check_int(max_states, "the state budget")
     if max_states < 1:
@@ -36,35 +36,17 @@ def dual_with_vectors(m: MooreMachine, max_states: int = MAX_DUAL_STATES):
         steps = [itemgetter(slice(t, t + 1)) for t in mt.transition[0]]
     else:  # f -> f . delta(., j), reading column j of the table
         steps = [itemgetter(*column) for column in zip(*mt.transition)]
-    start = tuple(mt.output_map)
-    stack = [start]
-    index = {start: 0}
-    rows = []
-    for f in stack:  # the list grows as vectors are discovered
-        row = []
-        for step in steps:
-            g = step(f)
-            k = index.get(g)
-            if k is None:
-                k = len(stack)
-                if k == max_states:
-                    raise DomainError(
-                        "dual reached %d states, over the budget of %d" % (k + 1, max_states)
-                    )
-                index[g] = k
-                stack.append(g)
-            row.append(k)
-        rows.append(tuple(row))
-    machine = MooreMachine(
-        states=tuple("d%d" % k for k in range(len(stack))),
-        input_count=mt.input_count,
-        outputs=mt.outputs,
-        transition=tuple(rows),
-        output_map=tuple(f[mt.initial] for f in stack),
-        initial=0,
-        input_names=mt.input_names,
-    )
-    return machine, tuple(stack)
+    vectors, rows = _closure(tuple(mt.output_map), lambda f: [step(f) for step in steps],
+                             max_states)
+    if len(vectors) > max_states:
+        raise DomainError(
+            "dual reached %d states, over the budget of %d" % (len(vectors), max_states))
+    # A closure of a valid trimmed machine, whose initial state is 0: the
+    # constructor's checks all hold.
+    machine = _machine(tuple(["d%d" % k for k in range(len(vectors))]), mt.input_count,
+                       mt.outputs, tuple(rows), tuple([f[0] for f in vectors]), 0,
+                       mt.input_names)
+    return machine, tuple(vectors)
 
 
 def dual(m: MooreMachine, max_states: int = MAX_DUAL_STATES) -> MooreMachine:

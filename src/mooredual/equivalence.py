@@ -6,8 +6,8 @@ from collections import deque
 from itertools import count
 from operator import itemgetter
 
-from .machine import (Counterexample, DomainError, MooreMachine, _check_machine, _machine,
-                      _reachable, trim)
+from .machine import (Counterexample, DomainError, MooreMachine, _check_machine, _closure,
+                      _machine, trim)
 
 
 def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
@@ -45,30 +45,17 @@ def product(m1: MooreMachine, m2: MooreMachine, combine="pair") -> MooreMachine:
     else:
         raise DomainError("unknown combiner %r" % (combine,))
 
-    start = (m1.initial, m2.initial)
-    order = [start]
-    index = {start: 0}
-    rows = []
-    for a1, a2 in order:  # the list grows as pairs are discovered
-        row = []
-        for j in range(m1.input_count):
-            p = (m1.transition[a1][j], m2.transition[a2][j])
-            k = index.get(p)
-            if k is None:
-                k = len(order)
-                index[p] = k
-                order.append(p)
-            row.append(k)
-        rows.append(tuple(row))
-
-    return MooreMachine(
-        states=tuple(_pair(m1.states[a1], m2.states[a2]) for a1, a2 in order),
-        input_count=m1.input_count,
-        outputs=outputs,
-        transition=tuple(rows),
-        output_map=tuple(join(m1.output_map[a1], m2.output_map[a2]) for a1, a2 in order),
-        initial=0,
-        input_names=m1.input_names if m1.input_names == m2.input_names else None,
+    t1, t2 = m1.transition, m2.transition
+    order, rows = _closure((m1.initial, m2.initial), lambda p: zip(t1[p[0]], t2[p[1]]))
+    # Distinct pairs get distinct names, so the constructor's checks all hold.
+    return _machine(
+        tuple(_pair(m1.states[a1], m2.states[a2]) for a1, a2 in order),
+        m1.input_count,
+        outputs,
+        tuple(rows),
+        tuple(join(m1.output_map[a1], m2.output_map[a2]) for a1, a2 in order),
+        0,
+        m1.input_names if m1.input_names == m2.input_names else None,
     )
 
 
@@ -156,11 +143,9 @@ def state_classes(m: MooreMachine) -> tuple[int, ...]:
 def _trimmed(m: MooreMachine):
     """trim(m), without building it as a machine: its outputs, and for each
     letter j the column of its states' j-successors."""
-    order, remap = _reachable(m)
-    rows = list(map(m.transition.__getitem__, order))
-    renumber = remap.__getitem__
-    cols = [list(map(renumber, map(itemgetter(j), rows))) for j in range(m.input_count)]
-    return list(map(m.output_map.__getitem__, order)), cols
+    _check_machine(m)
+    order, rows = _closure(m.initial, m.transition.__getitem__)
+    return list(map(m.output_map.__getitem__, order)), list(zip(*rows))
 
 
 def _refine(outs, cols) -> list[int]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from operator import itemgetter
 
 
@@ -241,6 +240,7 @@ def format_word(word, q: int) -> str:
 
 def right_action(m: MooreMachine, s, w) -> int:
     """Fold delta over w left to right starting at s (computes s.w)."""
+    _check_machine(m)
     a = m.state_index(s)
     for j in validate_word(w, m.input_count):
         a = m.transition[a][j]
@@ -249,6 +249,7 @@ def right_action(m: MooreMachine, s, w) -> int:
 
 def left_action(m: MooreMachine, w, s) -> int:
     """Fold delta over w right to left, last letter applied first (computes w.s)."""
+    _check_machine(m)
     a = m.state_index(s)
     for j in reversed(validate_word(w, m.input_count)):
         a = m.transition[a][j]
@@ -257,27 +258,39 @@ def left_action(m: MooreMachine, w, s) -> int:
 
 def run_right(m: MooreMachine, w) -> str:
     """Output after feeding w on the right: lambda(initial.w)."""
+    _check_machine(m)
     return m.output_map[right_action(m, m.initial, w)]
 
 
 def run_left(m: MooreMachine, w) -> str:
     """Output after feeding w on the left: lambda(w.initial)."""
+    _check_machine(m)
     return m.output_map[left_action(m, w, m.initial)]
 
 
-def _reachable(m: MooreMachine):
-    """The states reachable from the initial one, in breadth-first order with
-    letters ascending, and the map from each to its position in that order."""
-    _check_machine(m)
-    order = [m.initial]
-    remap = {m.initial: 0}
-    table = m.transition
-    for a in order:  # the list grows as states are discovered
-        for t in table[a]:
-            if t not in remap:
-                remap[t] = len(order)
-                order.append(t)
-    return order, remap
+def _closure(start, successors, limit=None):
+    """The states reached from start, and each one's row of successor positions.
+
+    The one numbering of every derived machine (trim, the quotient's input,
+    the product, the dual): start is 0, and the states that successors(s)
+    yields are numbered as first found, taking s in that order: breadth-first.
+    The walk stops at the state numbered ``limit``: at most limit + 1 come back.
+    """
+    states = [start]
+    index = {start: 0}
+    rows = []
+    for s in states:  # the list grows as states are discovered
+        row = []
+        for t in successors(s):
+            k = index.get(t)
+            if k is None:
+                k = index[t] = len(states)
+                states.append(t)
+                if k == limit:
+                    return states, rows
+            row.append(k)
+        rows.append(tuple(row))
+    return states, rows
 
 
 def trim(m: MooreMachine) -> MooreMachine:
@@ -286,15 +299,15 @@ def trim(m: MooreMachine) -> MooreMachine:
     The new state order is breadth-first discovery order with letters
     ascending; an already-ordered machine is returned unchanged.
     """
-    order, remap = _reachable(m)
+    _check_machine(m)
+    order, rows = _closure(m.initial, m.transition.__getitem__)
     if order == list(range(m.n)):
         return m
-    get = remap.__getitem__
     return _machine(
         tuple(map(m.states.__getitem__, order)),
         m.input_count,
         m.outputs,
-        tuple([tuple(map(get, m.transition[a])) for a in order]),
+        tuple(rows),
         tuple(map(m.output_map.__getitem__, order)),
         0,
         m.input_names,
@@ -317,7 +330,7 @@ def parse_machine(text: str) -> MooreMachine:
     One pass over the lines collects the declarations and the transitions;
     one pass over the transitions fills the table by lookups alone, and
     diagnoses a line whose lookup fails, or, for a token read by value such
-    as '01', learns it and resumes at that line.  Errors come in a fixed
+    as '01', learns it and fills that cell.  Errors come in a fixed
     order: the first malformed line, a missing declaration, an unknown output
     or initial state, the first bad transition line, the first missing one.
     """
@@ -415,16 +428,9 @@ def parse_machine(text: str) -> MooreMachine:
     # With fewer, some cell is missing; as nq may then be huge, keep only
     # the cells named.
     cells = [None] * nq if nq <= len(trans) else defaultdict(lambda: None)
-    rest = todo = iter(trans)
-    while True:
+    for lineno, (_, src, inp, dst) in trans:
         try:
-            for lineno, (_, src, inp, dst) in todo:
-                k, t = state_pos[src] * q + token[inp], state_pos[dst]
-                if cells[k] is not None:
-                    raise ParseError(
-                        "line %d: duplicate transition for %s on %s" % (lineno, src, inp))
-                cells[k] = t
-            break
+            k, t = state_pos[src] * q + token[inp], state_pos[dst]
         except KeyError:
             for name in (src, dst):
                 if name not in state_pos:
@@ -433,8 +439,10 @@ def parse_machine(text: str) -> MooreMachine:
             if j is None or j >= q:
                 raise ParseError("line %d: unknown input token %r" % (lineno, inp)) from None
             token[inp] = j
-            # resume at this line, chained onto the list's iterator: never nested
-            todo = chain([(lineno, ("trans", src, inp, dst))], rest)
+            k, t = state_pos[src] * q + j, state_pos[dst]
+        if cells[k] is not None:
+            raise ParseError("line %d: duplicate transition for %s on %s" % (lineno, src, inp))
+        cells[k] = t
 
     if nq > len(trans):
         # the first cell absent, within len(trans) + 1 probes
@@ -471,6 +479,7 @@ def emit_machine(m: MooreMachine, vectors=None) -> str:
     returns them), each state line gets its vector as a '# vector:' comment.
     A name that would not read back as itself is a DomainError.
     """
+    _check_machine(m)
     _check_tokens(m.states + m.outputs + (m.input_names or ()))
     if m.input_names and len(m.input_names) == 1 and m.input_names[0].isdigit():
         raise DomainError("input name %r would read back as a count" % (m.input_names[0],))
@@ -502,6 +511,7 @@ def _dot_string(text: str) -> str:
 def to_dot(m: MooreMachine) -> str:
     """Deterministic Graphviz source: nodes labeled name/output, labeled edges,
     and a point-shaped marker pointing at the initial state."""
+    _check_machine(m)
     ident = [_dot_string(name) for name in m.states]
     lines = [
         "digraph moore {",

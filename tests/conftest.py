@@ -73,10 +73,10 @@ def random_machine(rng, max_states=8, max_inputs=3, max_outputs=3):
 
 
 @st.composite
-def machines(draw, max_states=6, max_inputs=3, max_outputs=3):
+def machines(draw, max_states=6, max_inputs=3, max_outputs=3, min_inputs=1):
     """A machine within the given bounds; some of its states may be unreachable."""
     n = draw(st.integers(1, max_states))
-    q = draw(st.integers(1, max_inputs))
+    q = draw(st.integers(min_inputs, max_inputs))
     d = draw(st.integers(1, max_outputs))
     outputs = tuple("o%d" % k for k in range(d))
     return MooreMachine(
@@ -114,25 +114,33 @@ def act_right_on_function(m, f, w):
     return tuple(f[left_action(m, w, a)] for a in range(m.n))
 
 
+def literal_worklist(start, successors):
+    """The states reached from start, and each one's row of successor
+    numbers, by a plain queue: start is 0, and the others are numbered
+    breadth-first, as successors(s) first yields them."""
+    states = [start]
+    number = {start: 0}
+    rows = []
+    queue = deque(states)
+    while queue:
+        s = queue.popleft()
+        row = []
+        for t in successors(s):
+            if t not in number:
+                number[t] = len(states)
+                states.append(t)
+                queue.append(t)
+            row.append(number[t])
+        rows.append(tuple(row))
+    return states, rows
+
+
 def literal_closure(mt, successor):
     """The dual of the trimmed machine mt and its vectors, by the paper's
     worklist: lambda is state 0, and the vectors are numbered breadth-first,
     letters ascending, as successor(f, j) first finds them."""
-    vectors = [tuple(mt.output_map)]
-    number = {vectors[0]: 0}
-    rows = []
-    queue = deque(vectors)
-    while queue:
-        f = queue.popleft()
-        row = []
-        for j in range(mt.input_count):
-            g = successor(f, j)
-            if g not in number:
-                number[g] = len(vectors)
-                vectors.append(g)
-                queue.append(g)
-            row.append(number[g])
-        rows.append(tuple(row))
+    vectors, rows = literal_worklist(
+        tuple(mt.output_map), lambda f: [successor(f, j) for j in range(mt.input_count)])
     machine = MooreMachine(
         states=tuple("d%d" % k for k in range(len(vectors))),
         input_count=mt.input_count,

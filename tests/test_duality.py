@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mooredual
 from mooredual.duality import bidual, dual, dual_with_vectors
-from mooredual.equivalence import normal_form, state_classes
+from mooredual.equivalence import normal_form, product, state_classes
 from mooredual.machine import DomainError, MooreMachine, run_left, run_right, trim
 
 from conftest import (
@@ -12,6 +13,8 @@ from conftest import (
     act_right_on_function,
     dual_via_left_definition,
     dual_via_right_definition,
+    literal_worklist,
+    machines,
     random_machine,
     random_word,
     run_fresh,
@@ -143,6 +146,37 @@ def test_dual_state_budget(paper):
     for budget in (1.5, 4.0, None, "4"):
         with pytest.raises(DomainError, match="budget must be an integer"):
             dual(paper, max_states=budget)
+
+
+@given(machines(), st.data())
+def test_derived_machines_are_numbered_by_a_literal_worklist(m, data):
+    """trim, product and dual number their states as one plain queue does."""
+    order, rows = literal_worklist(m.initial, lambda a: m.transition[a])
+    t = trim(m)
+    assert t.transition == tuple(rows)
+    assert t.states == tuple(m.states[a] for a in order)
+    assert t.output_map == tuple(m.output_map[a] for a in order)
+
+    q = m.input_count
+    other = data.draw(machines(min_inputs=q, max_inputs=q))
+    pairs, rows = literal_worklist(
+        (m.initial, other.initial),
+        lambda p: [(m.transition[p[0]][j], other.transition[p[1]][j]) for j in range(q)])
+    pm = product(m, other)
+    assert pm.transition == tuple(rows)
+    assert pm.states == tuple("(%s,%s)" % (m.states[a], other.states[b]) for a, b in pairs)
+    assert pm.output_map == tuple(
+        "(%s,%s)" % (m.output_map[a], other.output_map[b]) for a, b in pairs)
+    assert pm.outputs == tuple("(%s,%s)" % (a, b) for a in m.outputs for b in other.outputs)
+
+    d, vectors = dual_via_left_definition(m)
+    assert dual_with_vectors(m, max_states=d.n) == (d, vectors)
+    # below the dual's size, the closure stops at budget + 1 states
+    for budget in {b for b in (1, d.n // 2, d.n - 1) if 0 < b < d.n}:
+        with pytest.raises(DomainError) as info:
+            dual_with_vectors(m, max_states=budget)
+        assert str(info.value) == "dual reached %d states, over the budget of %d" % (
+            budget + 1, budget)
 
 
 def test_dual_swaps_reading_direction(paper):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mooredual.cli import run_cli
-from mooredual.duality import bidual, dual
+from mooredual.duality import bidual, dual, dual_with_vectors
 from mooredual.equivalence import (
     equivalent,
     isomorphic,
@@ -21,8 +21,12 @@ from mooredual.machine import (
     DomainError,
     MooreMachine,
     emit_machine,
+    left_action,
     parse_machine,
+    right_action,
+    run_left,
     run_right,
+    to_dot,
     trim,
 )
 
@@ -111,6 +115,14 @@ NON_MACHINE_CALLS = {
     "states_equivalent": lambda m, x: states_equivalent(x, 0, 1),
     "trim": lambda m, x: trim(x),
     "dual": lambda m, x: dual(x),
+    "dual_with_vectors": lambda m, x: dual_with_vectors(x),
+    "bidual": lambda m, x: bidual(x),
+    "emit_machine": lambda m, x: emit_machine(x),
+    "to_dot": lambda m, x: to_dot(x),
+    "right_action": lambda m, x: right_action(x, 0, ()),
+    "left_action": lambda m, x: left_action(x, (), 0),
+    "run_right": lambda m, x: run_right(x, ()),
+    "run_left": lambda m, x: run_left(x, ()),
     "equivalent(m, x)": lambda m, x: equivalent(m, x),
     "equivalent(x, m)": lambda m, x: equivalent(x, m),
     "product(m, x)": lambda m, x: product(m, x),
