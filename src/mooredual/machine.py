@@ -203,6 +203,7 @@ def validate_word(word, q: int) -> tuple[int, ...]:
 
 def parse_word(text: str, q: int) -> tuple[int, ...]:
     """Parse a word literal: digit string for q <= 10, comma-separated otherwise."""
+    _check_int(q, "input count")
     text = text.strip()
     if text == "":
         return ()
@@ -231,6 +232,7 @@ def _digit_value(tok: str):
 
 
 def format_word(word, q: int) -> str:
+    _check_int(q, "input count")
     if q <= 10:
         return "".join(str(j) for j in word)
     return ",".join(str(j) for j in word)

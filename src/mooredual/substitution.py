@@ -332,9 +332,10 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     For ints 0 <= k <= 2t, t the depth of the block table, a warm query is
     one read of sigma^k(a) for k <= t, else two: the top k - t base-q digits
     of n index sigma^(k-t)(a), and the last t sigma^t of the letter there.
-    Past 2t the top k - t digits pick an image position per step before that
-    read.  The leading zeros follow the first letters of the images, which
-    cycle within |A| steps, so a huge k costs no more than the digits of n.
+    Past 2t it takes ``letter_at``'s count and descent from a_(k-d), where
+    a_0 = a, a_(i+1) is the first letter of sigma(a_i) and d = max(t, digits
+    of n): sigma^k(a) begins with sigma^d(a_(k-d)).  The a_i cycle within
+    |A| steps, so a huge k costs no more: O(d * |A| * q).
     """
     if not s._constant_length:
         raise DomainError("substitution is not constant-length")
@@ -360,35 +361,29 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     # n < q**k; for q > 1 an n below 2**k needs no power
     if k < 0 or n < 0 or (n >> k or q == 1) and n >= q ** min(k, n.bit_length()):
         raise DomainError("index %d out of range for step %d" % (n, k))
-    rows = s._rows
-    low = None
-    if k >= t:
-        n, low = divmod(n, len(words[0]))
-        k -= t
-    digits = []  # base q, least significant first
-    while n:
-        n, d = divmod(n, q)
-        digits.append(d)
-    zeros = k - len(digits)
-    seen = []
-    while zeros and state not in seen:
+    if k <= t + t:  # a bool or another int subclass: the table answers
+        return letter_at_constant(s, int(k), state, int(n))
+    rows, size, steps = s._rows, len(words[0]), k - t  # size = q**d, steps = k - d
+    while size <= n:  # d from t up to the number of base-q digits of n
+        size *= q
+        steps -= 1
+    seen = []  # a_0, a_1, ... until one repeats
+    while steps and state not in seen:
         seen.append(state)
         state = rows[state][0]
-        zeros -= 1
-    if zeros:
+        steps -= 1
+    if steps:
         cycle = seen[seen.index(state):]
-        state = cycle[zeros % len(cycle)]
-    for d in reversed(digits):
-        state = rows[state][d]
-    if low is None:
-        return s.alphabet[state]
-    return words[state][low]
+        state = cycle[steps % len(cycle)]
+    _, state, rank = _unrank(rows, state, n, stop=t)
+    return words[state][rank]
 
 
 # --- digit-word numeration ----------------------------------------------------
 
 def phi(word, q: int) -> int:
     """Weighted digit sum of a nonempty word (least significant digit first)."""
+    _check_int(q, "base")
     word = validate_word(word, q)
     if not word:
         raise DomainError("the digit sum is undefined on the empty word")
@@ -415,7 +410,8 @@ _BLOCK_LETTERS = 4096  # letters a block table may build, over all its levels
 
 def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
             digits: list | None = None, stop: int = 0):
-    """Unrank by count and descent (Dumont-Thomas numeration).
+    """Unrank by count and descent (Dumont-Thomas numeration): the one
+    descent of ``psi``, ``letter_at`` and ``letter_at_constant`` past step 2t.
 
     Level r of the table counts, per state a, the r-digit strings (most
     significant digit first) leading from a along ``rows`` without entering

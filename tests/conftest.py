@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import settings, strategies as st
 
-from mooredual.duality import dual_with_vectors
+from mooredual.duality import dual, dual_with_vectors
 from mooredual.machine import (
     DomainError,
     MooreMachine,
     left_action,
     parse_machine,
     right_action,
+    run_right,
     trim,
 )
 from mooredual.substitution import apply, check_fixed_point
@@ -260,6 +261,24 @@ def fixed_point_by_levels(s, n, project=False):
     if project:
         return tuple(s.projection[s.alphabet.index(a)] for a in w)
     return w
+
+
+def letter_by_dual(s, a, k, n):
+    """Letter n of sigma^k(a) for a constant-length s, by the paper's duality.
+
+    The letter machine at a has the letters as states and outputs and the
+    rule rows as delta; reading the k base-q digits of n most significant
+    first leads it to the letter.  That is a run on the left of the digits
+    least significant first, which its dual makes on the right.
+    """
+    machine = MooreMachine(states=s.alphabet, input_count=s.q, outputs=s.alphabet,
+                           transition=s._rows, output_map=s.alphabet,
+                           initial=s.letter_index(a))
+    digits = []
+    for _ in range(k):
+        n, d = divmod(n, s.q)
+        digits.append(d)
+    return run_right(dual(machine), digits)
 
 
 def base_digits(n, q):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import mooredual
 from mooredual.duality import bidual, dual, dual_with_vectors
-from mooredual.equivalence import normal_form, product, state_classes
+from mooredual.equivalence import minimize, normal_form, product, state_classes
 from mooredual.machine import DomainError, MooreMachine, run_left, run_right, trim
 
 from conftest import (
@@ -186,6 +186,26 @@ def test_dual_swaps_reading_direction(paper):
         w = random_word(rng, 2, max_len=2 * paper.n * d.n)
         assert run_left(d, w) == run_right(paper, w)
         assert run_right(d, w) == run_left(paper, w)
+
+
+@given(machines(), st.data())
+def test_dual_swaps_reading_direction_random(m, data):
+    d = dual(m)
+    words = st.lists(st.integers(0, m.input_count - 1), max_size=24)
+    for w in data.draw(st.lists(words, min_size=1, max_size=8)):
+        assert run_right(d, w) == run_left(m, w)
+        assert run_left(d, w) == run_right(m, w)
+
+
+@given(machines())
+def test_dual_is_minimal_and_its_dual_minimizes(m):
+    # the dual is minimal, depends only on the behaviour of m, and the dual
+    # of the dual is the minimal machine
+    d = dual(m)
+    assert minimize(d).n == d.n
+    dm = dual(minimize(m))
+    assert (dm.transition, dm.output_map) == (d.transition, d.output_map)
+    assert normal_form(bidual(m)) == minimize(m)
 
 
 def test_dual_initial_vector_is_lambda(paper):

@@ -41,6 +41,7 @@ from conftest import (
     base_digits,
     fixed_point_by_levels,
     language_words,
+    letter_by_dual,
     read_data,
     substitutions_isomorphic,
 )
@@ -845,7 +846,7 @@ def image_letter(s, k, a, n, expanded):
 @given(s=constant_substitutions(), data=st.data())
 def test_letter_at_constant_on_both_sides_of_t_and_2t(bound, s, data):
     # with the table at depth t, steps 0..t are one read, t+1..2t two, and
-    # later ones walk digits; every letter agrees with the expansion at every
+    # later ones descend; every letter agrees with the expansion at every
     # step to 2t + 2, at every index of images up to 2048 letters and at the
     # block edges and drawn indices of longer ones, and the first index past
     # an image is out of range
@@ -871,6 +872,17 @@ def test_letter_at_constant_on_both_sides_of_t_and_2t(bound, s, data):
                 raise AssertionError("index %d accepted for step %d" % (size, k))
             except DomainError as err:
                 assert str(err) == "index %d out of range for step %d" % (size, k)
+
+
+@given(s=constant_substitutions(), data=st.data())
+def test_letter_at_constant_matches_the_dual(s, data):
+    # the paper's duality as the oracle: the dual of the letter machine reads
+    # the digits of n on the right; steps on both sides of 2t, and bools
+    t = s._blocks()[0]
+    a = data.draw(st.sampled_from(s.alphabet))
+    k = data.draw(st.integers(0, 2 * t + 8) | st.integers(2 * t + 1, 2 * t + 8) | st.booleans())
+    n = data.draw(st.integers(0, s.q ** k - 1))
+    assert letter_at_constant(s, k, a, n) == letter_by_dual(s, a, k, n)
 
 
 def test_non_constant_errors_build_no_table():
@@ -1006,7 +1018,7 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
         for n in range(0, len(image), 5 if k < 2 * t else 997):
             assert letter_at_constant(const, k, "i", n) == image[n]
     # the patches are live: past its step a query descends, and checks first,
-    # and past step 2t the digits are walked
+    # and past step 2t q is read before the descent
     with pytest.raises(AssertionError, match="checked its substitution"):
         letter_at(fib, pad, 18, len(prefix))
     with pytest.raises(AssertionError, match="digit walk"):

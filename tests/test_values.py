@@ -13,8 +13,10 @@ from mooredual import (
     PaddingSpec,
     Substitution,
     apply,
+    format_word,
     letter_at,
     letter_at_constant,
+    parse_word,
     phi,
     psi,
     to_padded_machine,
@@ -251,6 +253,24 @@ def test_query_arguments_must_be_integers(query, fields, what, value):
             query(s, value)
         assert str(err.value) == "%s must be an integer, not %r" % (what, value)
     assert query(s, True) == query(s, 1)
+
+
+# the base of phi and the input count of parse_word and format_word, checked
+# before the word is read
+BASES = {
+    "phi": (lambda q: phi((0, 0), q), "base"),
+    "parse_word": (lambda q: parse_word("00", q), "input count"),
+    "format_word": (lambda q: format_word((0, 0), q), "input count"),
+}
+
+
+@pytest.mark.parametrize("call, what", BASES.values(), ids=BASES.keys())
+@pytest.mark.parametrize("value", [2.5, 2.0, None, "x"])
+def test_bases_must_be_integers(call, what, value):
+    with pytest.raises(DomainError) as err:
+        call(value)
+    assert str(err.value) == "%s must be an integer, not %r" % (what, value)
+    assert call(True) == call(1)
 
 
 def test_negative_non_integers_keep_their_range_messages():
