@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from itertools import accumulate, islice
 
@@ -32,16 +34,16 @@ class Substitution(_Value):
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
-    hashing and repr ignore: the rules as letter indices, the shape every
-    padding template must have, whether every image has length q, the
-    block table (see ``_blocks``), built by the first ``letter_at`` or
-    ``letter_at_constant``, and the last padding ``letter_at`` checked
-    whose templates cannot change.
+    hashing and repr ignore: the index of each letter name, the rules as
+    letter indices, the shape every padding template must have, whether
+    every image has length q, the block table (see ``_blocks``), built by
+    the first ``letter_at`` or ``letter_at_constant``, and the last padding
+    ``letter_at`` checked whose templates cannot change.
     """
 
     _fields = ("alphabet", "rules", "outputs", "projection", "initial")
-    __slots__ = _fields + ("q", "_rows", "_pad_shape", "_constant_length", "_block_table",
-                           "_checked_pad")
+    __slots__ = _fields + ("q", "_positions", "_rows", "_pad_shape", "_constant_length",
+                           "_block_table", "_checked_pad")
     alphabet: tuple[str, ...]
     rules: tuple[tuple[str, ...], ...]
     outputs: tuple[str, ...]
@@ -79,6 +81,7 @@ class Substitution(_Value):
         if not 0 <= self.initial < n:
             raise DomainError("initial letter out of range")
         object.__setattr__(self, "q", max(map(len, self.rules)))
+        object.__setattr__(self, "_positions", pos)
         # _rows[a][i] is the i-th letter of the image of a, as an index
         rows = tuple([tuple([pos[b] for b in img]) for img in self.rules])
         object.__setattr__(self, "_rows", rows)
@@ -91,20 +94,32 @@ class Substitution(_Value):
         object.__setattr__(self, "_checked_pad", None)
 
     def _blocks(self):
-        """The block table ``(t, words, prefix, offsets, column, levels)``.
+        """The block table ``(t, words, levels, letters, size, limits, depth,
+        reach, width, starts, offsets, blockwords)``.
 
         ``words[a]`` is sigma^t(a) as letter names, for the deepest t whose
         levels 0..t hold at most _BLOCK_LETTERS letters together (level 0
         always).  For a constant-length substitution, which
         ``letter_at_constant`` reads them for, ``levels[r][a]`` is
         sigma^r(a) as letter indices, for r = 0..t (else levels is None).
-        ``prefix`` is the first _BLOCK_LETTERS letters of the fixed point, as
-        letter indices (empty without a fixed point), and ``offsets[i]`` is
-        where sigma^t(prefix[i]) starts in it; the last offset is the reach
-        below which ``letter_at`` reads the table.  ``column[r]`` is
-        |sigma^r(start)|, up to the first r whose iterate reaches that far:
-        iterates of a fixed point strictly grow, so at most reach + 1
-        entries ((1,) without a fixed point).
+
+        The rest indexes the fixed point, and is empty without one.
+        ``letters`` is its first _BLOCK_LETTERS letters, as names, and
+        ``blockwords[i]`` is sigma^t(letters[i]), which starts at
+        ``offsets[i]`` (an ``array('q')``); the last offset is the
+        ``reach``, below which ``letter_at`` reads the table.  ``limits[r]``
+        is min(|sigma^r(start)|, reach), up to the first r whose iterate
+        reaches that far: iterates of a fixed point strictly grow, so at most
+        reach + 1 entries ((0,) without a fixed point).  ``size`` and
+        ``depth`` are the lengths of letters and limits, kept because a
+        ``len`` call would cost a warm read a tenth of its time.
+
+        ``starts[b]`` (an ``array('H')``) is the block that holds letter
+        min(b * width, reach - 1), for b = 0..ceil(reach / width).
+        ``width`` is the shortest block, raised to ceil(reach / (2 *
+        _BLOCK_LETTERS)) if that is longer: so at most 2 * _BLOCK_LETTERS + 1
+        starts, and while width is the shortest block no bucket of width
+        letters spans more than two blocks.
 
         Built on first use and published in one attribute store, so threads
         may share it.
@@ -126,21 +141,33 @@ class Substitution(_Value):
             prefix = []
             if rows[start][0] == start and len(rows[start]) > 1:
                 prefix = _fixed_prefix(rows, start, _BLOCK_LETTERS)
-            offsets = tuple(accumulate([len(words[b]) for b in prefix], initial=0))
-            lengths, column = [1] * len(rows), [1]
-            while column[-1] < offsets[-1]:
+            offsets = array("q", accumulate([len(words[b]) for b in prefix], initial=0))
+            reach = offsets[-1]
+            lengths, limits = [1] * len(rows), [min(1, reach)]
+            while limits[-1] < reach:
                 lengths = _level_above(rows, lengths)
-                column.append(lengths[start])
-            blocks = (len(levels) - 1, words, tuple(prefix), offsets, tuple(column),
-                      tuple(levels) if self._constant_length else None)
+                limits.append(min(lengths[start], reach))
+            width, starts, i = 1, array("H"), 0
+            if prefix:
+                width = max(min([len(words[b]) for b in set(prefix)]),
+                            -(-reach // (2 * _BLOCK_LETTERS)))
+                for x in range(0, reach, width):
+                    while offsets[i + 1] <= x:
+                        i += 1
+                    starts.append(i)
+                starts.append(len(prefix) - 1)  # the block that holds letter reach - 1
+            blocks = (len(levels) - 1, words, tuple(levels) if self._constant_length else None,
+                      tuple([names[x] for x in prefix]), len(prefix), tuple(limits),
+                      len(limits), reach, width, starts, offsets,
+                      tuple([words[x] for x in prefix]))
             object.__setattr__(self, "_block_table", blocks)
         return blocks
 
     def letter_index(self, a) -> int:
         if isinstance(a, str):
             try:
-                return self.alphabet.index(a)
-            except ValueError:
+                return self._positions[a]
+            except KeyError:
                 raise DomainError("unknown letter %r" % a) from None
         if not isinstance(a, int) or not 0 <= a < len(self.alphabet):
             _check_int(a, "letter index")
@@ -224,19 +251,15 @@ class PaddedMachine(_Value):
 def parse_letters(s: Substitution, text: str) -> tuple[str, ...]:
     """Parse a letter-word literal.
 
-    Bare concatenation when every letter is a single character, otherwise
-    whitespace/comma separated tokens.
+    Tokens separated by commas or any whitespace; one token alone is read
+    as bare concatenation when every letter is a single character.
     """
-    text = text.strip()
-    if text == "":
-        return ()
-    if all(len(a) == 1 for a in s.alphabet) and "," not in text and " " not in text:
-        letters = tuple(text)
-    else:
-        letters = tuple(t for t in text.replace(",", " ").split())
+    letters = text.replace(",", " ").split()
+    if len(letters) == 1 and all(len(a) == 1 for a in s.alphabet):
+        letters = letters[0]
     for a in letters:
         s.letter_index(a)
-    return letters
+    return tuple(letters)
 
 
 def format_letters(s: Substitution, letters) -> str:
@@ -276,6 +299,8 @@ def expand_fixed_point(s: Substitution, n: int, project: bool = False):
     if n < 0:
         raise DomainError("negative prefix length")
     _check_int(n, "prefix length")
+    if n > sys.maxsize:  # no tuple holds that many letters
+        raise DomainError("prefix length %d too long" % n)
     names = s.projection if project else s.alphabet
     return tuple([names[x] for x in _fixed_prefix(s._rows, s.initial, n)])
 
@@ -329,7 +354,8 @@ def is_constant_length(s: Substitution) -> bool:
 def letter_at_constant(s: Substitution, k: int, a, n: int):
     """Letter n of the k-th image of letter a, via digit indexing (no expansion).
 
-    For ints 0 <= k <= 2t, t the depth of the block table, a warm query is
+    The letter is found in O(1), in the substitution's dict of names.  For
+    ints 0 <= k <= 2t, t the depth of the block table, a warm query is
     one read of sigma^k(a) for k <= t, else two: the top k - t base-q digits
     of n index sigma^(k-t)(a), and the last t sigma^t of the letter there.
     Past 2t it takes ``letter_at``'s count and descent from a_(k-d), where
@@ -339,23 +365,27 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     """
     if not s._constant_length:
         raise DomainError("substitution is not constant-length")
-    state = s.letter_index(a)
-    t, words, _, _, _, levels = s._block_table or s._blocks()
-    if k.__class__ is int and n.__class__ is int and 0 <= k <= t + t and n >= 0:
+    state = s._positions.get(a) if a.__class__ is str else None
+    if state is None:  # a letter index, or no letter
+        state = s.letter_index(a)
+    blocks = s._block_table or s._blocks()
+    t, words, levels = blocks[0], blocks[1], blocks[2]
+    if k.__class__ is int is n.__class__ and 0 <= k <= t + t and 0 <= n:
         if k <= t:
             image = levels[k][state]
             if n < len(image):
                 return s.alphabet[image[n]]
         else:
-            hi, low = divmod(n, len(words[0]))  # every sigma^t(b) has q**t letters
+            size = len(words[0])  # every sigma^t(b) has q**t letters
+            hi = n // size
             image = levels[k - t][state]
             if hi < len(image):
-                return words[image[hi]][low]
+                return words[image[hi]][n - hi * size]
     q = s.q
     if k.__class__ is not int or n.__class__ is not int:
         _check_ordered(k, "step")
         _check_ordered(n, "index")
-        if k >= 0 and n >= 0:  # a negative k or n is out of range first
+        if not (k < 0 or n < 0):  # a negative k or n is out of range first, nan is not
             _check_int(k, "step")
             _check_int(n, "index")
     # n < q**k; for q > 1 an n below 2**k needs no power
@@ -406,6 +436,7 @@ def _word_value(word, q: int) -> int:
 
 _KEPT_LEVELS = 4096  # count levels kept whole before keeping only some
 _BLOCK_LETTERS = 4096  # letters a block table may build, over all its levels
+# (below 2**16: the bucket index holds block numbers in an array('H'))
 
 
 def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
@@ -522,9 +553,12 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     """Letter j of the k-th iterate of the start letter, via the numeration.
 
     Every iterate is a prefix of the fixed point, so below the reach of the
-    block table an index inside the k-th iterate (by the table's column of
-    iterate lengths) is read from the table: one index into its prefix, or
-    past the prefix one bisection of its offsets.  Otherwise it is the
+    block table an index inside the k-th iterate (by the table's limits) is
+    read from the table without a search: one index into its prefix, or
+    past the prefix the block of bucket j // width, at most one step to the
+    next block, and one index into that block.  Only a table whose width
+    had to be raised past its shortest block may need more steps; it
+    bisects the offsets within the bucket instead.  Otherwise it is the
     letter the padded machine reaches on psi(j), found on the rule
     rows: padding adds only sink entries, which count no words.  The count
     stops at the first iterate longer than j, or at k, and the descent ends
@@ -532,24 +566,29 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     reached: O(min(k, log j) * |A| * q) when the iterates grow
     exponentially.
 
-    The table is read first, when k and j are ints that put j inside the
-    k-th iterate and below the reach; no check can fail there, since only
-    a fixed point gives the table a reach.  The descent checks the fixed
-    point, that k and j compare with 0, their signs, then that both are
-    ints (a bool is one).
+    The table is read first, when k and j are ints (not a subclass) that
+    put j inside the k-th iterate and below the reach; no check can fail
+    there, since only a fixed point gives the table a reach.  The descent
+    checks the fixed point, that k and j compare with 0, their signs, then
+    that both are ints (a bool is one).
     A padding is checked once per substitution, by one comparison of shapes
     and of the start letter's first token (in full only if that fails); it
     is remembered only if its templates are tuples of strings, which cannot
     change.
     """
-    t, words, prefix, offsets, column, _ = s._block_table or s._blocks()
-    if (j.__class__ is int and k.__class__ is int and 0 <= j < offsets[-1] and k >= 0
-            and (k >= len(column) or j < column[k])):
-        if j < len(prefix):
-            letter = s.alphabet[prefix[j]]
+    t, words, _, letters, size, limits, depth, reach, width, starts, offsets, blockwords = (
+        s._block_table or s._blocks())
+    if j.__class__ is int is k.__class__ and 0 <= k and 0 <= j < (
+            limits[k] if k < depth else reach):
+        if j < size:
+            letter = letters[j]
         else:
-            i = bisect_right(offsets, j) - 1
-            letter = words[prefix[i]][j - offsets[i]]
+            i = starts[j // width]
+            if offsets[i + 1] <= j:
+                i += 1
+                if offsets[i + 1] <= j:  # only when width is longer than a block
+                    i = bisect_right(offsets, j, i + 1, starts[j // width + 1] + 1) - 1
+            letter = blockwords[i][j - offsets[i]]
     else:
         check_fixed_point(s)
         _check_ordered(k, "iteration count")

@@ -1,20 +1,40 @@
-"""Mutation fuzzing of both text formats and of the CLI.
+"""Mutation fuzzing of both text formats and of the CLI, and a sweep of the
+numeration entry points' integer parameters.
 
 Valid .moore and .subst texts are mutated token by token: drops, swaps,
 huge integers, reserved names, duplicated or dropped lines.  Whatever comes
 out, a parser returns a value or raises ParseError, and ``run_cli`` returns
-an exit code in 0-3 without raising.
+an exit code in 0-3 without raising.  Whatever value an integer parameter
+gets, a numeration entry point returns a value or raises DomainError or
+ParseError.
 """
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mooredual.cli import run_cli
-from mooredual.machine import MooreMachine, ParseError, emit_machine, parse_machine
-from mooredual.substitution import parse_substitution
+from mooredual.machine import (
+    DomainError,
+    MooreMachine,
+    ParseError,
+    emit_machine,
+    format_word,
+    parse_machine,
+    parse_word,
+)
+from mooredual.substitution import (
+    expand_fixed_point,
+    letter_at,
+    letter_at_constant,
+    parse_substitution,
+    phi,
+    psi,
+    to_padded_machine,
+)
 
 from conftest import read_data
 
@@ -157,3 +177,57 @@ def test_cli_exits_0_to_3_on_mutated_files(workdir, data):
             fh.write(data.draw(mutated(SUBST_BASES, most=2)))
         argv = ["subst"] + data.draw(subst_argv(one))
     assert quiet_cli(argv) in (0, 1, 2, 3), argv
+
+
+# --- integer parameters of the numeration entry points ------------------------------
+
+
+class _Int(int):
+    """An int subclass: like a bool, it must take the checked path."""
+
+
+NOT_PLAIN_INTS = [None, "x", 1.5, 2.0, math.nan, math.inf, -1, True, 10 ** 30, _Int(3)]
+
+# each entry point with one integer parameter (or two, the same value) set
+# to the swept value, on the Fibonacci substitution and the constant-length
+# three-letter one
+NUMERATION_CALLS = {
+    "letter_at k": lambda v, fib, pad, const: letter_at(fib, pad, v, 3),
+    "letter_at j": lambda v, fib, pad, const: letter_at(fib, pad, 5, v),
+    "letter_at k j": lambda v, fib, pad, const: letter_at(fib, None, v, v),
+    "letter_at_constant k": lambda v, fib, pad, const: letter_at_constant(const, v, "i", 1),
+    "letter_at_constant a": lambda v, fib, pad, const: letter_at_constant(const, 3, v, 1),
+    "letter_at_constant n": lambda v, fib, pad, const: letter_at_constant(const, 3, "i", v),
+    "letter_at_constant k n": lambda v, fib, pad, const: letter_at_constant(const, v, "i", v),
+    "psi n": lambda v, fib, pad, const: psi(to_padded_machine(fib, pad), v),
+    "expand_fixed_point n": lambda v, fib, pad, const: expand_fixed_point(fib, v),
+    "phi q": lambda v, fib, pad, const: phi((1, 0, 1), v),
+    "phi digit": lambda v, fib, pad, const: phi((v, 1), 2),
+    "parse_word q": lambda v, fib, pad, const: parse_word("0110", v),
+    "format_word q": lambda v, fib, pad, const: format_word((0, 1, 1), v),
+}
+
+
+def numeration_outcome(call, value):
+    """The value a call returns or the DomainError/ParseError it raises, cold
+    (a fresh block table) and then warm; any other exception fails."""
+    fib, pad = parse_substitution(read_data("fib.subst"))
+    const = parse_substitution(read_data("threeletter.subst"))[0]
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append(("value", NUMERATION_CALLS[call](value, fib, pad, const)))
+        except (DomainError, ParseError) as err:
+            outcomes.append((type(err).__name__, str(err)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("value", NOT_PLAIN_INTS, ids=repr)
+@pytest.mark.parametrize("call", NUMERATION_CALLS)
+def test_numeration_integer_parameters(call, value):
+    outcome = numeration_outcome(call, value)
+    if isinstance(value, int):  # a bool or an int subclass answers as its int
+        assert outcome == numeration_outcome(call, int(value))
+    else:  # no other value is read as an int
+        assert outcome[0] == "DomainError"

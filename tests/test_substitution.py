@@ -5,11 +5,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
 from itertools import accumulate
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mooredual import substitution
 from mooredual.duality import bidual
@@ -50,6 +52,20 @@ from conftest import (
 def fresh(s):
     """An equal substitution whose block table is still unbuilt."""
     return Substitution(s.alphabet, s.rules, s.outputs, s.projection, s.initial)
+
+
+BLOCK_FIELDS = ("t", "words", "levels", "letters", "size", "limits", "depth", "reach", "width",
+                "starts", "offsets", "blockwords")
+
+
+def block_table(s):
+    """The fields of the block table of s, by name; the stored sizes are
+    checked against what they count."""
+    blocks = s._blocks()
+    assert len(blocks) == len(BLOCK_FIELDS)
+    table = SimpleNamespace(**dict(zip(BLOCK_FIELDS, blocks)))
+    assert table.size == len(table.letters) and table.depth == len(table.limits)
+    return table
 
 
 @pytest.fixture
@@ -137,6 +153,20 @@ def test_apply_examples(paper_subst, fib):
     assert apply(paper_subst, "ia") == ("i", "a", "b", "i")
     assert apply(paper_subst, "") == ()
     assert apply(fib, "ab") == ("a", "b", "a")
+
+
+@pytest.mark.parametrize("text", ["a b", "a\tb", "a\nb", "a,b", " a \t\n b\r\n", "ab"])
+def test_parse_letters_separates_on_any_whitespace(fib, text):
+    assert substitution.parse_letters(fib, text) == ("a", "b")
+    assert apply(fib, text) == ("a", "b", "a")
+
+
+def test_parse_letters_reads_tokens_of_longer_letters():
+    s = Substitution(("x1", "y"), (("x1", "y"), ("x1",)), ("0",), ("0", "0"), 0)
+    assert substitution.parse_letters(s, "x1\ty\nx1") == ("x1", "y", "x1")
+    assert substitution.parse_letters(s, " \t\n") == ()
+    with pytest.raises(DomainError, match="unknown letter 'x1y'"):
+        substitution.parse_letters(s, "x1y")
 
 
 def test_apply_homomorphism(fib, paper_subst):
@@ -652,8 +682,7 @@ def test_block_table_published_once(monkeypatch):
     assert s._block_table is None
     assert letter_at(s, None, 10 ** 9, 3) == "b"
     blocks = s._block_table
-    t, _, _, offsets, _, _ = blocks
-    reach = offsets[-1]
+    t, reach = block_table(s).t, block_table(s).reach
     prefix = fixed_point_by_levels(cold, 201)
     # past the reach, in the start letter's block, at its edge, at the reach
     ranks = (200, 0, t, t + 1, 5, reach - 1, reach, reach + 1)
@@ -673,7 +702,9 @@ def test_block_table_build_is_bounded(s):
     # the bound counts the letters of every level built, so growth as slow
     # as LINEAR's still builds only O(bound) letters, in few levels
     s = fresh(s)
-    t, words, prefix, offsets, _, _ = s._blocks()
+    table = block_table(s)
+    t, words, offsets = table.t, table.words, table.offsets
+    prefix = tuple(s.alphabet.index(a) for a in table.letters)
     bound = substitution._BLOCK_LETTERS
     levels = [[1] * len(s.alphabet)]
     for _ in range(t + 1):
@@ -683,23 +714,26 @@ def test_block_table_build_is_bounded(s):
     assert sum(map(len, words)) <= bound
     # and the fixed-point prefix and its offsets hold bound letters each
     assert len(prefix) == bound and len(offsets) == bound + 1
-    assert offsets == tuple(accumulate((len(words[b]) for b in prefix), initial=0))
+    assert offsets == array("q", accumulate((len(words[b]) for b in prefix), initial=0))
+    assert table.blockwords == tuple(words[b] for b in prefix)
+    assert table.reach == offsets[-1]
 
 
 @pytest.mark.parametrize("bound", [0, 1, 5, 64, None])
 def test_block_table_column_stops_at_the_reach(bound, monkeypatch):
-    # column[r] = |sigma^r(start)|, strictly growing, up to the first iterate
-    # that reaches as far as the table; (1,) without a fixed point
+    # limits[r] = min(|sigma^r(start)|, reach), strictly growing, up to the
+    # first iterate that reaches as far as the table; (0,) without a fixed point
     if bound is not None:
         monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
     for s in data + [LINEAR, QUADRATIC]:
-        offsets, column = fresh(s)._blocks()[3:5]
-        reach = offsets[-1]
-        assert all(a < b for a, b in zip(column, column[1:]))
-        assert list(column) == fixed_point_lengths(s, len(column) - 1)
-        assert column[-1] >= reach and all(length < reach for length in column[:-1])
-    assert fresh(ROTATING)._blocks()[4] == (1,)
+        table = block_table(fresh(s))
+        limits, reach = table.limits, table.reach
+        lengths = fixed_point_lengths(s, len(limits) - 1)
+        assert all(a < b for a, b in zip(limits, limits[1:]))
+        assert list(limits) == [min(length, reach) for length in lengths]
+        assert lengths[-1] >= reach and all(length < reach for length in lengths[:-1])
+    assert block_table(fresh(ROTATING)).limits == (0,)
 
 
 def expand_iterate(s, a, t):
@@ -717,11 +751,11 @@ def test_letter_at_around_the_reach(bound, monkeypatch):
     monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     data = [parse_substitution(read_data(name))[0] for name in ("fib.subst", "threeletter.subst")]
     for s in data + [fresh(LINEAR), fresh(QUADRATIC)]:
-        t, words, prefix, offsets, _, _ = s._blocks()
-        reach = offsets[-1]
+        table = block_table(s)
+        prefix, offsets, reach = table.letters, table.offsets, table.reach
         assert len(prefix) == bound and len(offsets) == bound + 1
         fixed = fixed_point_by_levels(s, reach + 2)
-        assert prefix == tuple(s.alphabet.index(a) for a in fixed[:bound])
+        assert prefix == fixed[:bound]
         lengths = fixed_point_lengths(s, 200)
         deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
         ranks = [j for j in (reach - 1, reach, reach + 1) if j >= 0]
@@ -740,7 +774,7 @@ def test_letter_at_around_the_prefix(name):
     # and on both sides of the iterates whose lengths cross it
     s = {"linear": LINEAR, "quadratic": QUADRATIC}.get(name)
     s = fresh(s) if s else parse_substitution(read_data(name))[0]
-    n = len(s._blocks()[2])
+    n = len(block_table(s).letters)
     assert n == substitution._BLOCK_LETTERS
     lengths = fixed_point_lengths(s, n)
     cross = next(k for k, length in enumerate(lengths) if length >= n)
@@ -771,13 +805,19 @@ def test_fixed_point_prefix_is_read_off_in_linear_time(monkeypatch):
         s = fresh(LINEAR)
         object.__setattr__(s, "_rows", CountedRows(s._rows))
         reads.clear()
-        prefix = s._blocks()[2]
+        prefix = block_table(s).letters
         assert len(reads) <= bound + 3
         # the fixed point reads a, then b at odd and c at even indices
-        assert prefix == (0,) + tuple(2 - j % 2 for j in range(1, bound))
+        assert prefix == ("a",) + tuple("cb"[j % 2] for j in range(1, bound))
     fixed = fixed_point_by_levels(LINEAR, 600)
-    assert prefix[:600] == tuple(LINEAR.alphabet.index(a) for a in fixed)
+    assert prefix[:600] == fixed
 
+
+# sigma^t(b) = b is one letter and sigma^t(a) about 2**(t+1), so the block
+# table's width is raised past its shortest block
+SKEWED = Substitution(("a", "b"), (("a", "a", "b"), ("b",)), ("0",), ("0",) * 2, 0)
+# likewise, and at bound 64 its last bucket holds three blocks
+SKEWED_RUNS = Substitution(("a", "b"), (("a", "a", "b", "b"), ("b",)), ("0",), ("0",) * 2, 0)
 
 # no letter starts its own image, so there is no fixed point to index
 ROTATING = Substitution(("a", "b", "c"), (("b", "a"), ("c", "b"), ("a", "c")), ("0",), ("0",) * 3, 0)
@@ -789,8 +829,10 @@ def test_no_fixed_point_builds_an_empty_prefix(bound, monkeypatch):
         monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
     s = fresh(ROTATING)
     blocks = s._blocks()
-    t, words, prefix, offsets, column, _ = blocks
-    assert (prefix, offsets, column) == ((), (0,), (1,))
+    table = block_table(s)
+    t = table.t
+    assert (table.letters, tuple(table.offsets), table.limits, table.reach) == ((), (0,), (0,), 0)
+    assert (tuple(table.starts), table.blockwords) == ((), ())
     with pytest.raises(DomainError, match="no fixed point"):
         letter_at(s, None, 1, 0)
     # steps below, at and well past the depth of the block table
@@ -1037,13 +1079,23 @@ class _Refused:
 
 
 def test_warm_reads_below_the_prefix_neither_bisect_nor_validate(monkeypatch):
-    # below the table's prefix a warm letter_at is one index, and a padding
-    # it has checked before is not compared or validated again
+    # below the table's prefix a warm letter_at is one index, and up to the
+    # reach one bucket read and at most one step forward, since no bucket
+    # spans more than two of fib's blocks; a padding it has checked before
+    # is not compared or validated again
     fib, pad = parse_substitution(read_data("fib.subst"))
-    fixed = fixed_point_by_levels(fib, fixed_point_lengths(fib, 18)[18])
-    n = len(fib._blocks()[2])
+    table = block_table(fib)
+    n, reach = len(table.letters), table.reach
+    length = fixed_point_lengths(fib, 18)[18]
+    fixed = fixed_point_by_levels(fib, reach)
+    assert n < length < reach
     assert letter_at(fib, pad, 18, 0) == fixed[0]
     assert fib._checked_pad is pad
+    # a table whose width had to be raised, built before bisect_right is refused
+    skewed = fresh(SKEWED)
+    skew = block_table(skewed)
+    j = next(x for i, x in enumerate(skew.offsets[:-1])
+             if x >= len(skew.letters) and i >= skew.starts[x // skew.width] + 2)
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -1051,17 +1103,22 @@ def test_warm_reads_below_the_prefix_neither_bisect_nor_validate(monkeypatch):
         return call
 
     monkeypatch.setattr(substitution, "bisect_right", refuse("bisect_right"))
+    monkeypatch.setattr(substitution, "_unrank", refuse("_unrank"))
     monkeypatch.setattr(PaddingSpec, "validate", refuse("validate"))
     # a shape that no longer matches would send an unremembered padding to
     # a full validation
     object.__setattr__(pad, "_shape", None)
-    for j in range(0, n, 3):
-        assert letter_at(fib, pad, 18, j) == fixed[j]
-        assert letter_at(fib, None, 10 ** 9, j) == fixed[j]
-    # the patches are live: from the prefix on the table is bisected, and a
-    # padding not yet checked is validated
+    for j18 in range(0, length, 3):
+        assert letter_at(fib, pad, 18, j18) == fixed[j18]
+    for far in [*range(0, reach, 37), reach - 1]:
+        assert letter_at(fib, None, 10 ** 9, far) == fixed[far]
+    # the patches are live: past the reach a query descends, a bucket that
+    # spans more than two blocks is bisected, and a padding not yet checked
+    # is validated
+    with pytest.raises(AssertionError, match="_unrank"):
+        letter_at(fib, pad, 10 ** 9, reach)
     with pytest.raises(AssertionError, match="bisect_right"):
-        letter_at(fib, pad, 18, n)
+        letter_at(skewed, None, 10 ** 9, j)
     with pytest.raises(AssertionError, match="validate"):
         letter_at(fib, PaddingSpec(list(pad.templates)), 18, 0)
 
@@ -1183,7 +1240,7 @@ def test_only_a_fixed_point_gives_the_table_a_reach(s):
         fixed = True
     except DomainError:
         fixed = False
-    assert (s._blocks()[3][-1] > 0) == fixed
+    assert (block_table(s).reach > 0) == fixed
     assert s._constant_length == (min(map(len, s.rules)) == s.q) == is_constant_length(s)
 
 
@@ -1196,8 +1253,8 @@ def test_warm_letter_at_matches_expansion_around_the_reach(subst, bound):
     s, custom = subst
     with mock.patch.object(substitution, "_BLOCK_LETTERS", bound):
         s = fresh(s)
-        _, _, prefix, offsets, _, _ = s._blocks()
-    reach, n = offsets[-1], len(prefix)
+        table = block_table(s)
+    reach, n = table.reach, len(table.letters)
     lengths = fixed_point_lengths(s, reach + 2)
     deep = next(r for r, length in enumerate(lengths) if length > reach + 1)
     cross = next(r for r, length in enumerate(lengths) if length >= n)
@@ -1211,6 +1268,58 @@ def test_warm_letter_at_matches_expansion_around_the_reach(subst, bound):
             assert letter_at(s, pad, k, length - 1) == fixed[length - 1]
             with pytest.raises(DomainError, match="length %d" % length):
                 letter_at(s, pad, k, length)
+
+
+def fixed_point_string(s, n):
+    """The first n letters of the fixed point of single-character letters,
+    as a string: fixed_point_by_levels's definition, with the word applied
+    to by ``str.translate``, so that millions of letters take a second."""
+    images = str.maketrans({a: "".join(img) for a, img in zip(s.alphabet, s.rules)})
+    w = s.alphabet[s.initial]
+    while len(w) < n:
+        w = w.translate(images)
+    return w[:n]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 64, substitution._BLOCK_LETTERS])
+def test_warm_letter_at_at_bucket_and_block_edges(bound, monkeypatch):
+    # below the reach, every bucket start and block start and the index
+    # before each reads the fixed point's letter: on SKEWED and SKEWED_RUNS,
+    # whose widths are raised past their shortest blocks, and on random fixed
+    # points; and the bucket index stays within 2 * _BLOCK_LETTERS + 1 entries
+    monkeypatch.setattr(substitution, "_BLOCK_LETTERS", bound)
+
+    def assert_edges_match(s):
+        s = fresh(s)
+        table = block_table(s)
+        reach = table.reach
+        assert len(table.starts) <= 2 * bound + 1
+        edges = {*range(0, reach, table.width), *table.offsets[:-1]}
+        ranks = sorted({j - d for j in edges for d in (0, 1) if 0 <= j - d < reach})
+        fixed = fixed_point_string(s, reach)
+        assert fixed[:2000] == "".join(fixed_point_by_levels(s, min(reach, 2000)))
+        assert "".join([letter_at(s, None, 10 ** 9, j) for j in ranks]) == "".join(
+            [fixed[j] for j in ranks])
+
+    assert_edges_match(SKEWED)
+    assert_edges_match(SKEWED_RUNS)
+    # at the default bound a random fixed point's reach runs to millions
+    examples = 100 if bound < substitution._BLOCK_LETTERS else 10
+    given(padded_substitutions())(settings(max_examples=examples)(
+        lambda subst: assert_edges_match(subst[0])))()
+
+
+def test_fib_block_table_is_smaller_than_the_tuple_layout():
+    # 205,624 bytes on 64-bit CPython 3.11 while the offsets were a tuple of
+    # ints and the prefix a tuple of letter indices
+    fib = parse_substitution(read_data("fib.subst"))[0]
+    tracemalloc.start()
+    try:
+        fib._blocks()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 205_624
 
 
 # --- substitution minimization -----------------------------------------------------------
