@@ -7,7 +7,7 @@ from itertools import count
 from operator import itemgetter
 
 from .machine import (Counterexample, DomainError, MooreMachine, _check_machine, _closure,
-                      _machine, trim)
+                      _machine, _numerals, trim)
 
 
 def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
@@ -123,7 +123,7 @@ def normal_form(m: MooreMachine) -> MooreMachine:
     states.
     """
     mt = trim(m)
-    return _machine(tuple(map(str, range(mt.n))), mt.input_count, mt.outputs,
+    return _machine(_numerals(mt.n), mt.input_count, mt.outputs,
                     mt.transition, mt.output_map, mt.initial, mt.input_names)
 
 
@@ -141,15 +141,14 @@ def state_classes(m: MooreMachine) -> tuple[int, ...]:
 
 
 def _trimmed(m: MooreMachine):
-    """trim(m), without building it as a machine: its outputs, and for each
-    letter j the column of its states' j-successors."""
+    """trim(m), without building it as a machine: its outputs and its rows."""
     _check_machine(m)
     order, rows = _closure(m.initial, m.transition.__getitem__)
-    return list(map(m.output_map.__getitem__, order)), list(zip(*rows))
+    return tuple(map(m.output_map.__getitem__, order)), rows
 
 
-def _refine(outs, cols) -> list[int]:
-    """state_classes of a trimmed machine given by its outputs and columns.
+def _refine(outs, rows) -> list[int]:
+    """state_classes of a trimmed machine given by its outputs and rows.
 
     A round gives each state the signature (its block, the blocks of its
     successors), one C-level pass per column, and labels each state with
@@ -162,7 +161,7 @@ def _refine(outs, cols) -> list[int]:
     block = list(map(lowest.setdefault, outs, range(n)))
     blocks = len(lowest)
     if blocks < n:
-        gathers = [itemgetter(*col) for col in cols]  # n > 1: each gives a tuple
+        gathers = [itemgetter(*col) for col in zip(*rows)]  # n > 1: each gives a tuple
     while blocks < n:
         lowest = {}
         block = list(map(lowest.setdefault,
@@ -181,19 +180,19 @@ def minimize(m: MooreMachine) -> MooreMachine:
     the quotient's breadth-first order, so the result equals the normal form
     of the bidual.
     """
-    outs, cols = _trimmed(m)
-    classes = _refine(outs, cols)
+    outs, rows = _trimmed(m)
+    classes = _refine(outs, rows)
     n = len(classes)
     # The last state's class is numbered n-1 only if each state is a class of
-    # its own; then trim(m) is its own quotient.
+    # its own; then trim(m) is its own quotient, rows and all.
     if classes[-1] != n - 1:
         # One member per class, in class order; every member of a class has
         # its output and the classes of its successors.
         members = list(dict(zip(classes, range(n))).values())
         class_of = classes.__getitem__
-        cols = [list(map(class_of, map(col.__getitem__, members))) for col in cols]
-        outs = list(map(outs.__getitem__, members))
+        rows = zip(*[map(class_of, map(col.__getitem__, members)) for col in zip(*rows)])
+        outs = tuple(map(outs.__getitem__, members))
         n = len(members)
     # trimming puts the initial state first
-    return _machine(tuple(map(str, range(n))), m.input_count, m.outputs,
-                    tuple(zip(*cols)), tuple(outs), 0, m.input_names)
+    return _machine(_numerals(n), m.input_count, m.outputs, tuple(rows), outs, 0,
+                    m.input_names)

@@ -151,6 +151,14 @@ class MooreMachine(_Value):
         return self.input_names[j] if self.input_names else str(j)
 
 
+_NUMERALS = tuple(map(str, range(256)))
+
+
+def _numerals(n: int) -> tuple[str, ...]:
+    """The names '0', ..., str(n - 1); up to 256 of them, one shared tuple's."""
+    return _NUMERALS[:n] if n <= 256 else tuple(map(str, range(n)))
+
+
 def _check_machine(m):
     """Raise DomainError unless m is a MooreMachine."""
     if not isinstance(m, MooreMachine):
@@ -202,12 +210,11 @@ def validate_word(word, q: int) -> tuple[int, ...]:
 
 
 def parse_word(text: str, q: int) -> tuple[int, ...]:
-    """Parse a word literal: digit string for q <= 10, comma-separated otherwise."""
+    """Parse a word literal: symbols apart by commas or whitespace; for q <= 10, a digit run."""
     _check_int(q, "input count")
-    text = text.strip()
-    if text == "":
-        return ()
-    parts = list(text) if (q <= 10 and "," not in text) else [p.strip() for p in text.split(",")]
+    parts = text.replace(",", " ").split()
+    if len(parts) == 1 and q <= 10 and "," not in text:
+        parts = parts[0]
     word = []
     for p in parts:
         j = _digit_value(p)
@@ -318,28 +325,40 @@ def trim(m: MooreMachine) -> MooreMachine:
 
 # --- text format -------------------------------------------------------------
 
-def _meaningful_lines(text: str):
-    """The (line number, tokens) of each line with a token once '#...' is cut."""
+def _cut_lines(text: str) -> list[str]:
+    """The lines of text, each cut at its first '#'."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
+    return lines
+
+
+def _meaningful_lines(text: str):
+    """The (line number, tokens) of each line with a token once '#...' is cut."""
+    return filter(itemgetter(1), enumerate(map(str.split, _cut_lines(text)), 1))
+
+
+def _numbered(message, text: str, tokens: list, toks) -> ParseError:
+    """A ParseError "line N: message" for the line of toks, one of text's token lists tokens."""
+    lineno = next((n for (n, _), t in zip(_meaningful_lines(text), tokens) if t is toks), 1)
+    return ParseError("line %d: %s" % (lineno, message))
 
 
 def parse_machine(text: str) -> MooreMachine:
     """Parse .moore text into a validated machine (state order = declaration order).
 
-    One pass over the lines collects the declarations and the transitions;
-    one pass over the transitions fills the table by lookups alone, and
-    diagnoses a line whose lookup fails, or, for a token read by value such
-    as '01', learns it and fills that cell.  Errors come in a fixed
-    order: the first malformed line, a missing declaration, an unknown output
-    or initial state, the first bad transition line, the first missing one.
+    One pass over the lines' tokens collects the declarations and the
+    transitions; one pass over the transitions fills the table by lookups
+    alone, and diagnoses a line whose lookup fails (numbering lines only
+    then), or, for a token read by value such as '01', learns it and fills
+    that cell.  Errors come in a fixed order: the first malformed line, a
+    missing declaration, an unknown output or initial state, the first bad
+    transition line, the first missing one.
     """
-    lines = _meaningful_lines(text)
-    first = next(lines, None)
-    if first is None or first[1] != ["moore", "v1"]:
-        raise ParseError("line %d: expected header 'moore v1'" % (first[0] if first else 1))
+    tokens = list(filter(None, map(str.split, _cut_lines(text))))
+    lines = iter(tokens)
+    if next(lines, None) != ["moore", "v1"]:
+        raise _numbered("expected header 'moore v1'", text, tokens, tokens[0] if tokens else None)
 
     q = None
     input_names = None
@@ -347,57 +366,57 @@ def parse_machine(text: str) -> MooreMachine:
     names = []         # state names in declaration order
     outs = []          # output symbol per state
     state_pos = {}
-    initial_name = None
-    trans = []         # (line, ['trans', source, input token, target])
+    initial = None     # the tokens of the 'initial' line
+    trans = []         # the tokens of each 'trans' line
 
-    for lineno, toks in lines:
+    for toks in lines:
         key = toks[0]
         if key == "trans":  # most lines of a machine are transitions
             if len(toks) != 4:
-                raise ParseError("line %d: expected 'trans <id> <input> <id>'" % lineno)
-            trans.append((lineno, toks))
+                raise _numbered("expected 'trans <id> <input> <id>'", text, tokens, toks)
+            trans.append(toks)
         elif key == "state":
             if len(toks) != 3:
-                raise ParseError("line %d: expected 'state <id> <output>'" % lineno)
+                raise _numbered("expected 'state <id> <output>'", text, tokens, toks)
             name = toks[1]
             if name in state_pos:
-                raise ParseError("line %d: duplicate state %r" % (lineno, name))
+                raise _numbered("duplicate state %r" % name, text, tokens, toks)
             state_pos[name] = len(names)
             names.append(name)
             outs.append(toks[2])
         elif key == "inputs":
             if q is not None:
-                raise ParseError("line %d: duplicate 'inputs' declaration" % lineno)
+                raise _numbered("duplicate 'inputs' declaration", text, tokens, toks)
             args = toks[1:]
             if not args:
-                raise ParseError("line %d: 'inputs' needs a count or names" % lineno)
+                raise _numbered("'inputs' needs a count or names", text, tokens, toks)
             if len(args) == 1 and args[0].isdigit():
                 q = _digit_value(args[0])
                 if q is None:
-                    raise ParseError("line %d: unreadable input count" % lineno)
+                    raise _numbered("unreadable input count", text, tokens, toks)
             else:
                 if len(set(args)) != len(args):
-                    raise ParseError("line %d: duplicate input name" % lineno)
+                    raise _numbered("duplicate input name", text, tokens, toks)
                 input_names = tuple(args)
                 q = len(args)
             if q < 1:
-                raise ParseError("line %d: need at least one input" % lineno)
+                raise _numbered("need at least one input", text, tokens, toks)
         elif key == "outputs":
             if outputs is not None:
-                raise ParseError("line %d: duplicate 'outputs' declaration" % lineno)
+                raise _numbered("duplicate 'outputs' declaration", text, tokens, toks)
             if len(toks) == 1:
-                raise ParseError("line %d: 'outputs' needs at least one symbol" % lineno)
+                raise _numbered("'outputs' needs at least one symbol", text, tokens, toks)
             outputs = tuple(toks[1:])
             if len(set(outputs)) != len(outputs):
-                raise ParseError("line %d: duplicate output symbol" % lineno)
+                raise _numbered("duplicate output symbol", text, tokens, toks)
         elif key == "initial":
             if len(toks) != 2:
-                raise ParseError("line %d: expected 'initial <id>'" % lineno)
-            if initial_name is not None:
-                raise ParseError("line %d: duplicate 'initial' declaration" % lineno)
-            initial_name = (toks[1], lineno)
+                raise _numbered("expected 'initial <id>'", text, tokens, toks)
+            if initial is not None:
+                raise _numbered("duplicate 'initial' declaration", text, tokens, toks)
+            initial = toks
         else:
-            raise ParseError("line %d: unknown directive %r" % (lineno, key))
+            raise _numbered("unknown directive %r" % key, text, tokens, toks)
 
     if q is None:
         raise ParseError("missing 'inputs' declaration")
@@ -405,45 +424,41 @@ def parse_machine(text: str) -> MooreMachine:
         raise ParseError("missing 'outputs' declaration")
     if not names:
         raise ParseError("no states declared")
-    if initial_name is None:
+    if initial is None:
         raise ParseError("missing 'initial' declaration")
 
     declared = set(outputs)
     if not declared.issuperset(outs):
         out = next(out for out in outs if out not in declared)
-        lineno = next(n for n, toks in _meaningful_lines(text)
-                      if toks[0] == "state" and toks[2] == out)
-        raise ParseError("line %d: unknown output token %r" % (lineno, out))
-    init_name, init_line = initial_name
-    if init_name not in state_pos:
-        raise ParseError("line %d: unknown state %r" % (init_line, init_name))
+        toks = next(toks for toks in tokens if toks[0] == "state" and toks[2] == out)
+        raise _numbered("unknown output token %r" % out, text, tokens, toks)
+    if initial[1] not in state_pos:
+        raise _numbered("unknown state %r" % initial[1], text, tokens, initial)
 
     # Input tokens by name, or the canonical digits of 0..q-1; other digit
     # tokens such as '01' are read by value.  Bounded by the number of
     # transition lines, so a huge count allocates nothing of its size.
-    if input_names is not None:
-        token = {name: j for j, name in enumerate(input_names)}
-    else:
-        token = {str(j): j for j in range(min(q, len(trans)))}
+    token = dict(zip(input_names or _numerals(min(q, len(trans))), range(q)))
     nq = len(names) * q
     # A complete table names each of its nq cells once, so has nq lines.
     # With fewer, some cell is missing; as nq may then be huge, keep only
     # the cells named.
     cells = [None] * nq if nq <= len(trans) else defaultdict(lambda: None)
-    for lineno, (_, src, inp, dst) in trans:
+    for toks in trans:
+        _, src, inp, dst = toks
         try:
             k, t = state_pos[src] * q + token[inp], state_pos[dst]
         except KeyError:
             for name in (src, dst):
                 if name not in state_pos:
-                    raise ParseError("line %d: unknown state %r" % (lineno, name)) from None
+                    raise _numbered("unknown state %r" % name, text, tokens, toks) from None
             j = _digit_value(inp)
             if j is None or j >= q:
-                raise ParseError("line %d: unknown input token %r" % (lineno, inp)) from None
+                raise _numbered("unknown input token %r" % inp, text, tokens, toks) from None
             token[inp] = j
             k, t = state_pos[src] * q + j, state_pos[dst]
         if cells[k] is not None:
-            raise ParseError("line %d: duplicate transition for %s on %s" % (lineno, src, inp))
+            raise _numbered("duplicate transition for %s on %s" % (src, inp), text, tokens, toks)
         cells[k] = t
 
     if nq > len(trans):
@@ -460,7 +475,7 @@ def parse_machine(text: str) -> MooreMachine:
         outputs,
         tuple(zip(*[iter(cells)] * q)),
         tuple(outs),
-        state_pos[init_name],
+        state_pos[initial[1]],
         input_names,
     )
 
@@ -492,13 +507,14 @@ def emit_machine(m: MooreMachine, vectors=None) -> str:
         lines.append("inputs %d" % m.input_count)
     lines.append("outputs " + " ".join(m.outputs))
     states = m.states
-    for idx, name in enumerate(states):
-        line = "state %s %s" % (name, m.output_map[idx])
-        if vectors:
-            line += "  # vector: " + " ".join(vectors[idx])
-        lines.append(line)
+    if vectors:
+        for name, out, vector in zip(states, m.output_map, vectors, strict=True):
+            lines.append("state %s %s  # vector: %s" % (name, out, " ".join(vector)))
+    else:
+        for name, out in zip(states, m.output_map):
+            lines.append("state %s %s" % (name, out))
     lines.append("initial %s" % states[m.initial])
-    labels = [m.input_label(j) for j in range(m.input_count)]
+    labels = m.input_names or _numerals(m.input_count)
     for name, row in zip(states, m.transition):
         for label, t in zip(labels, row):
             lines.append("trans %s %s %s" % (name, label, states[t]))

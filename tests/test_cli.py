@@ -45,6 +45,11 @@ def test_run_right(capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_run_word_apart_by_whitespace(capsys):
+    code, out, _ = run(capsys, "moore", "run", EXAMPLE, "--word", "0 0\t1")
+    assert (code, out) == (0, "1\n")
+
+
 def test_run_left(capsys):
     code, out, _ = run(capsys, "moore", "run", EXAMPLE, "--word", "001", "--side", "left")
     assert (code, out) == (0, "0\n")

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 import mooredual
 from mooredual.duality import bidual, dual, dual_with_vectors
 from mooredual.equivalence import minimize, normal_form, product, state_classes
-from mooredual.machine import DomainError, MooreMachine, run_left, run_right, trim
+from mooredual.machine import (DomainError, MooreMachine, emit_machine, run_left, run_right,
+                               trim)
 
 from conftest import (
     act_left_on_function,
@@ -55,6 +56,14 @@ def test_dual_paper_tables(paper):
     assert d.transition == ((1, 2), (1, 1), (3, 0), (3, 3))
     assert d.output_map == ("0", "0", "1", "1")
     assert d.initial == 0
+
+
+def test_emit_wants_one_vector_per_state(paper):
+    d, vectors = dual_with_vectors(paper)
+    assert emit_machine(d, vectors).count("  # vector: ") == d.n
+    for wrong in (vectors[:-1], vectors + vectors[:1]):
+        with pytest.raises(ValueError):
+            emit_machine(d, wrong)
 
 
 def test_dual_of_dual_paper(paper):

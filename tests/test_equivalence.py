@@ -307,6 +307,15 @@ def test_state_classes_long_chain():
     assert state_classes(m) == moore_round_classes(m) == tuple(range(2000))
 
 
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_numeric_state_names_either_side_of_the_shared_ones(n):
+    # up to 256 names are sliced from one shared tuple, and more are made
+    names = tuple(str(s) for s in range(n))
+    m = chain_machine(n)
+    assert minimize(m).states == normal_form(m).states == names
+    assert minimize(m).transition == normal_form(m).transition == m.transition
+
+
 # --- isomorphic ----------------------------------------------------------------------
 
 def test_isomorphic_renaming(paper):

@@ -53,6 +53,16 @@ def test_round_trip_one_state():
     assert parse_machine(emit_machine(m)) == m
 
 
+def test_round_trip_300_digit_inputs():
+    # more input labels than the shared numeric names: made, not sliced
+    text = "moore v1\ninputs 300\noutputs 0\nstate s 0\ninitial s\n" + "".join(
+        "trans s %d s\n" % j for j in range(300))
+    m = parse_machine(text)
+    assert (m.input_count, m.input_names, m.transition) == (300, None, ((0,) * 300,))
+    assert emit_machine(m) == text
+    assert parse_machine(emit_machine(m)) == m
+
+
 def test_missing_transition_rejected():
     with pytest.raises(ParseError, match="missing transition"):
         parse_machine(read_data("example_missing.moore"))
@@ -118,6 +128,34 @@ def test_parse_word():
         parse_word("2", 2)
     with pytest.raises(DomainError):
         parse_word("x", 2)
+
+
+@pytest.mark.parametrize("text, q, word", [
+    # symbols apart by commas or any whitespace, as letter words are
+    ("0 1", 2, (0, 1)),
+    ("0\t1", 2, (0, 1)),
+    ("0\n1", 2, (0, 1)),
+    (" 0 ,\t1 ", 2, (0, 1)),
+    ("01 1", 2, (1, 1)),
+    ("0 11 3", 12, (0, 11, 3)),
+    ("0\t11,3", 12, (0, 11, 3)),
+    # one token without a comma: digit by digit when q <= 10, a value above
+    ("011", 2, (0, 1, 1)),
+    ("011", 12, (11,)),
+    # a comma marks a list of values; empty fields are skipped
+    ("01,", 2, (1,)),
+    ("0,,1", 2, (0, 1)),
+    (",0", 2, (0,)),
+    (",", 2, ()),
+])
+def test_parse_word_separators(text, q, word):
+    assert parse_word(text, q) == word
+
+
+def test_parse_word_rejects_whitespace_separated_bad_symbols():
+    for text, q in (("0 2", 2), ("0\tx", 2), ("01 10", 2), ("0 -1", 12)):
+        with pytest.raises(DomainError):
+            parse_word(text, q)
 
 
 def test_format_word():

@@ -6,12 +6,14 @@ named and digit input tokens, comments)."""
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mooredual.cli import run_cli
-from mooredual.machine import DomainError, MooreMachine, ParseError, parse_machine, parse_word
+from mooredual.machine import (DomainError, MooreMachine, ParseError, emit_machine,
+                               parse_machine, parse_word)
 from mooredual.substitution import parse_substitution
 
-from conftest import DATA
+from conftest import DATA, machines
 
 HEAD = "moore v1\ninputs 2\noutputs 0 1\nstate s 0\nstate t 1\ninitial s\n"
 FULL = "trans s 0 s\ntrans s 1 t\ntrans t 0 t\ntrans t 1 s\n"
@@ -227,6 +229,77 @@ def test_huge_input_count_cli(tmp_path, capsys):
     assert run_cli(["moore", "validate", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "missing transition for state 's' on input 1" in capsys.readouterr().err
+
+
+# --- line numbers: every str.splitlines separator, blank lines and comments count
+
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+NOISE = ["", "  \t", "#", "# a comment", "   # indented comment"]
+
+
+@st.composite
+def texts_with_one_bad_line(draw):
+    """(text, number of its one bad line): an emitted machine with blank and
+    comment lines mixed in, and one line that makes it a ParseError."""
+    m = draw(machines(max_states=4))
+    lines = emit_machine(m).splitlines()
+    trans_lines = [k for k, line in enumerate(lines) if line.startswith("trans ")]
+    kind = draw(st.sampled_from([
+        "trans", "state", "inputs", "initial", "directive", "duplicate state",
+        "duplicate trans", "unknown source", "unknown target", "unknown input",
+        "unknown initial", "unknown output",
+    ]))
+    after = 1  # the bad line goes after the header, and after what it repeats
+    if kind == "trans":
+        bad = draw(st.sampled_from(["trans s0 0", "trans s0 0 s0 s0", "trans"]))
+    elif kind == "state":
+        bad = draw(st.sampled_from(["state s0", "state zz o0 o0", "state"]))
+    elif kind == "inputs":
+        bad = draw(st.sampled_from(["inputs", "inputs a b a", "inputs 0"]))
+    elif kind == "initial":
+        bad = draw(st.sampled_from(["initial", "initial s0 s0"]))
+    elif kind == "directive":
+        bad = draw(st.sampled_from(["start s0", "TRANS s0 0 s0", "moore v1"]))
+    elif kind == "duplicate state":
+        k = draw(st.integers(0, m.n - 1))
+        bad, after = "state s%d o0" % k, lines.index("state s%d %s" % (k, m.output_map[k])) + 1
+    elif kind == "duplicate trans":
+        k = draw(st.sampled_from(trans_lines))
+        _, src, inp, _ = lines[k].split()
+        bad = "trans %s %s%s s0" % (src, draw(st.sampled_from(["", "0", "00"])), inp)
+        after = k + 1
+    elif kind == "unknown source":
+        bad = "trans zz 0 s0"
+    elif kind == "unknown target":
+        bad = "trans s0 0 zz"
+    elif kind == "unknown input":
+        bad = "trans s0 %s s0" % draw(st.sampled_from(["x", "-1", str(m.input_count), "²"]))
+    elif kind == "unknown initial":
+        lines.remove("initial s%d" % m.initial)
+        bad = "initial zz"
+    else:
+        bad = "state zz oX"
+    pos = draw(st.integers(after, len(lines)))
+    lines.insert(pos, bad + draw(st.sampled_from(["", " ", "\t# trailing comment"])))
+    # blank and comment lines anywhere, the header's line included
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(NOISE)))
+        pos += at <= pos
+    seps = [draw(st.sampled_from(SEPARATORS)) for _ in lines]
+    for k in range(len(lines) - 1):
+        # "\r" then an empty line ended by "\n" would read as one "\r\n" break
+        if seps[k] == "\r" and lines[k + 1] == "" and seps[k + 1] == "\n":
+            seps[k] = "\r\n"
+    return "".join(map(str.__add__, lines, seps)), pos + 1
+
+
+@given(texts_with_one_bad_line())
+def test_parse_errors_name_the_bad_line(case):
+    text, lineno = case
+    with pytest.raises(ParseError) as info:
+        parse_machine(text)
+    assert str(info.value).startswith("line %d: " % lineno)
 
 
 # --- digits int() cannot read: a ParseError or DomainError, never a ValueError
