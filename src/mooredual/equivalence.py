@@ -94,9 +94,10 @@ def states_equivalent(m: MooreMachine, a, b) -> bool:
     # hold minimize to an independent algorithm.
     _check_machine(m)
     a, b = m.state_index(a), m.state_index(b)
+    # m with initial state a, then b: state_index has checked both
     fields = (m.states, m.input_count, m.outputs, m.transition, m.output_map)
-    return equivalent(MooreMachine(*fields, a, m.input_names),
-                      MooreMachine(*fields, b, m.input_names)) is True
+    return equivalent(_machine(*fields, a, m.input_names),
+                      _machine(*fields, b, m.input_names)) is True
 
 
 def isomorphic(m1: MooreMachine, m2: MooreMachine):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import itemgetter
 
 
 class ParseError(ValueError):
@@ -239,10 +238,10 @@ def _digit_value(tok: str):
 
 
 def format_word(word, q: int) -> str:
+    """The word literal parse_word reads back as word: digits for q <= 10, else
+    numbers apart by commas.  The word is checked as validate_word checks it."""
     _check_int(q, "input count")
-    if q <= 10:
-        return "".join(str(j) for j in word)
-    return ",".join(str(j) for j in word)
+    return ("" if q <= 10 else ",").join(["%d" % j for j in validate_word(word, q)])
 
 
 # --- actions ----------------------------------------------------------------
@@ -333,14 +332,11 @@ def _cut_lines(text: str) -> list[str]:
     return lines
 
 
-def _meaningful_lines(text: str):
-    """The (line number, tokens) of each line with a token once '#...' is cut."""
-    return filter(itemgetter(1), enumerate(map(str.split, _cut_lines(text)), 1))
-
-
 def _numbered(message, text: str, tokens: list, toks) -> ParseError:
-    """A ParseError "line N: message" for the line of toks, one of text's token lists tokens."""
-    lineno = next((n for (n, _), t in zip(_meaningful_lines(text), tokens) if t is toks), 1)
+    """A ParseError "line N: message" for the line of toks, one of tokens,
+    the token lists of text's lines that have a token once '#...' is cut."""
+    numbers = (n for n, line in enumerate(_cut_lines(text), 1) if line.split())
+    lineno = next((n for n, t in zip(numbers, tokens) if t is toks), 1)
     return ParseError("line %d: %s" % (lineno, message))
 
 

@@ -15,7 +15,9 @@ from .machine import (
     _check_int,
     _check_ordered,
     _check_tokens,
-    _meaningful_lines,
+    _cut_lines,
+    _machine,
+    _numbered,
     _Value,
     _word,
     validate_word,
@@ -35,15 +37,15 @@ class Substitution(_Value):
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
     hashing and repr ignore: the index of each letter name, the rules as
-    letter indices, the shape every padding template must have, whether
-    every image has length q, the block table (see ``_blocks``), built by
-    the first ``letter_at`` or ``letter_at_constant``, and the last padding
-    ``letter_at`` checked whose templates cannot change.
+    letter indices, whether every image has length q, the block table (see
+    ``_blocks``), built by the first ``letter_at`` or ``letter_at_constant``,
+    and the last padding ``letter_at`` checked in full whose templates are
+    tuples of strings, which cannot change.
     """
 
     _fields = ("alphabet", "rules", "outputs", "projection", "initial")
-    __slots__ = _fields + ("q", "_positions", "_rows", "_pad_shape", "_constant_length",
-                           "_block_table", "_checked_pad")
+    __slots__ = _fields + ("q", "_positions", "_rows", "_constant_length", "_block_table",
+                           "_checked_pad")
     alphabet: tuple[str, ...]
     rules: tuple[tuple[str, ...], ...]
     outputs: tuple[str, ...]
@@ -85,11 +87,7 @@ class Substitution(_Value):
         # _rows[a][i] is the i-th letter of the image of a, as an index
         rows = tuple([tuple([pos[b] for b in img]) for img in self.rules])
         object.__setattr__(self, "_rows", rows)
-        # (length, slots, padding positions) of the template each image needs
-        q = self.q
-        shape = tuple([(q, len(img), q - len(img)) for img in self.rules])
-        object.__setattr__(self, "_pad_shape", shape)
-        object.__setattr__(self, "_constant_length", min(map(len, self.rules)) == q)
+        object.__setattr__(self, "_constant_length", min(map(len, self.rules)) == self.q)
         object.__setattr__(self, "_block_table", None)
         object.__setattr__(self, "_checked_pad", None)
 
@@ -182,27 +180,17 @@ class PaddingSpec(_Value):
     """Where the padding positions sit in each image brought up to length q.
 
     One template per letter, tokens SLOT/OMEGA; slots, read left to right,
-    receive the letters of the image in order.
+    receive the letters of the image in order.  Building one checks nothing:
+    every function that takes a padding checks it against its substitution by
+    ``validate``, except that ``letter_at`` skips the one the substitution
+    remembers (see there).
     """
 
-    _fields = ("templates",)
-    __slots__ = _fields + ("_shape",)
+    __slots__ = _fields = ("templates",)
     templates: tuple[tuple[str, ...], ...]
 
     def __init__(self, templates):
         self._set(templates)
-        # (length, slots, padding positions) per template, kept only when the
-        # templates are tuples of strings, which cannot change or fail to
-        # compare; validate then passes at once if it equals the shape the
-        # substitution needs
-        shape = None
-        if type(self.templates) is tuple and all(
-            type(tpl) is tuple and all(type(tok) is str for tok in tpl)
-            for tpl in self.templates
-        ):
-            shape = tuple([(len(tpl), tpl.count(SLOT), tpl.count(OMEGA))
-                           for tpl in self.templates])
-        object.__setattr__(self, "_shape", shape)
 
     @classmethod
     def default(cls, s: Substitution) -> "PaddingSpec":
@@ -215,8 +203,7 @@ class PaddingSpec(_Value):
         )
 
     def validate(self, s: Substitution):
-        if self._shape == s._pad_shape:
-            return  # every template has its length, slots and padding
+        """Raise DomainError unless every template pads its letter's image to length q."""
         if len(self.templates) != len(s.alphabet):
             raise DomainError("need one padding template per letter")
         for a, img, tpl in zip(s.alphabet, s.rules, self.templates):
@@ -325,6 +312,8 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
 
     For a constant-length substitution the sink is unreachable from the
     letters, and the machine restricted to them is the exact digit machine.
+    The machine is built without MooreMachine's checks: the substitution's
+    and the padding's have made them all, as the sink's names are reserved.
     """
     if pad is None:
         pad = PaddingSpec.default(s)
@@ -336,14 +325,8 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
         for img, tpl in zip(map(iter, s._rows), pad.templates)
     ]
     rows.append((n,) * q)  # the sink absorbs every digit
-    machine = MooreMachine(
-        states=s.alphabet + (SINK_STATE,),
-        input_count=q,
-        outputs=s.outputs + (SINK_OUTPUT,),
-        transition=tuple(rows),
-        output_map=s.projection + (SINK_OUTPUT,),
-        initial=s.initial,
-    )
+    machine = _machine(s.alphabet + (SINK_STATE,), q, s.outputs + (SINK_OUTPUT,), tuple(rows),
+                       s.projection + (SINK_OUTPUT,), s.initial, None)
     return PaddedMachine(machine, n)
 
 
@@ -571,10 +554,9 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     there, since only a fixed point gives the table a reach.  The descent
     checks the fixed point, that k and j compare with 0, their signs, then
     that both are ints (a bool is one).
-    A padding is checked once per substitution, by one comparison of shapes
-    and of the start letter's first token (in full only if that fails); it
-    is remembered only if its templates are tuples of strings, which cannot
-    change.
+    A padding is checked in full, and that digit 0 fixes the start letter,
+    unless it is the one the substitution remembers: the last that passed
+    whose templates are tuples of strings, which cannot change.
     """
     t, words, _, letters, size, limits, depth, reach, width, starts, offsets, blockwords = (
         s._block_table or s._blocks())
@@ -604,11 +586,12 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
         letter = words[state][rank]
     if pad is not s._checked_pad and pad is not None:
-        if not (pad._shape == s._pad_shape and pad.templates[s.initial][0] == SLOT):
-            pad.validate(s)
-            if pad.templates[s.initial][0] != SLOT:
-                raise DomainError("numeration needs digit 0 to fix the initial letter")
-        if pad._shape is not None:
+        pad.validate(s)
+        templates = pad.templates
+        if templates[s.initial][0] != SLOT:
+            raise DomainError("numeration needs digit 0 to fix the initial letter")
+        if type(templates) is tuple and all(
+                type(tpl) is tuple and all(type(tok) is str for tok in tpl) for tpl in templates):
             object.__setattr__(s, "_checked_pad", pad)
     return letter
 
@@ -657,74 +640,72 @@ def minimize_substitution(s: Substitution, pad: PaddingSpec | None = None):
 def parse_substitution(text: str):
     """Parse .subst text; returns (Substitution, PaddingSpec).
 
-    Letters without a 'pad' line get the default trailing padding.
+    Letters without a 'pad' line get the default trailing padding.  As in
+    ``parse_machine``, one pass over the lines' tokens keeps each line's
+    tokens, and lines are numbered only for the line an error names.
     """
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != ["subst", "v1"]:
-        lineno = lines[0][0] if lines else 1
-        raise ParseError("line %d: expected header 'subst v1'" % lineno)
+    tokens = list(filter(None, map(str.split, _cut_lines(text))))
+    lines = iter(tokens)
+    if next(lines, None) != ["subst", "v1"]:
+        raise _numbered("expected header 'subst v1'", text, tokens, tokens[0] if tokens else None)
 
     letters = None
     outputs = None
-    initial = None
-    rules = {}
+    initial = None     # the tokens of the 'initial' line
+    rules = {}         # the tokens of each letter's 'rule', 'out' and 'pad' line
     outs = {}
     pads = {}
 
-    for lineno, toks in lines[1:]:
+    for toks in lines:
         key, args = toks[0], toks[1:]
         if key == "letters":
             if letters is not None:
-                raise ParseError("line %d: duplicate 'letters' declaration" % lineno)
+                raise _numbered("duplicate 'letters' declaration", text, tokens, toks)
             if not args:
-                raise ParseError("line %d: 'letters' needs at least one id" % lineno)
+                raise _numbered("'letters' needs at least one id", text, tokens, toks)
             if len(set(args)) != len(args):
-                raise ParseError("line %d: duplicate letter" % lineno)
+                raise _numbered("duplicate letter", text, tokens, toks)
             if SINK_STATE in args:
-                raise ParseError("line %d: letter %r is reserved for the padding sink"
-                                 % (lineno, SINK_STATE))
+                raise _numbered("letter %r is reserved for the padding sink" % SINK_STATE,
+                                text, tokens, toks)
             letters = tuple(args)
         elif key == "outputs":
             if outputs is not None:
-                raise ParseError("line %d: duplicate 'outputs' declaration" % lineno)
+                raise _numbered("duplicate 'outputs' declaration", text, tokens, toks)
             if not args:
-                raise ParseError("line %d: 'outputs' needs at least one symbol" % lineno)
+                raise _numbered("'outputs' needs at least one symbol", text, tokens, toks)
             if len(set(args)) != len(args):
-                raise ParseError("line %d: duplicate output symbol" % lineno)
+                raise _numbered("duplicate output symbol", text, tokens, toks)
             if SINK_OUTPUT in args:
-                raise ParseError("line %d: output %r is reserved for the padding sink"
-                                 % (lineno, SINK_OUTPUT))
+                raise _numbered("output %r is reserved for the padding sink" % SINK_OUTPUT,
+                                text, tokens, toks)
             outputs = tuple(args)
         elif key == "initial":
             if len(args) != 1:
-                raise ParseError("line %d: expected 'initial <id>'" % lineno)
+                raise _numbered("expected 'initial <id>'", text, tokens, toks)
             if initial is not None:
-                raise ParseError("line %d: duplicate 'initial' declaration" % lineno)
-            initial = (args[0], lineno)
+                raise _numbered("duplicate 'initial' declaration", text, tokens, toks)
+            initial = toks
         elif key == "rule":
             if len(args) < 3 or args[1] != "->":
-                raise ParseError("line %d: expected 'rule <id> -> <id> ...'" % lineno)
-            name = args[0]
-            if name in rules:
-                raise ParseError("line %d: duplicate rule for %r" % (lineno, name))
-            rules[name] = (tuple(args[2:]), lineno)
+                raise _numbered("expected 'rule <id> -> <id> ...'", text, tokens, toks)
+            if args[0] in rules:
+                raise _numbered("duplicate rule for %r" % args[0], text, tokens, toks)
+            rules[args[0]] = toks
         elif key == "out":
             if len(args) != 2:
-                raise ParseError("line %d: expected 'out <id> <sym>'" % lineno)
+                raise _numbered("expected 'out <id> <sym>'", text, tokens, toks)
             if args[0] in outs:
-                raise ParseError("line %d: duplicate 'out' for %r" % (lineno, args[0]))
-            outs[args[0]] = (args[1], lineno)
+                raise _numbered("duplicate 'out' for %r" % args[0], text, tokens, toks)
+            outs[args[0]] = toks
         elif key == "pad":
             if len(args) < 2:
-                raise ParseError("line %d: expected 'pad <id> <template>'" % lineno)
+                raise _numbered("expected 'pad <id> <template>'", text, tokens, toks)
             if args[0] in pads:
-                raise ParseError("line %d: duplicate 'pad' for %r" % (lineno, args[0]))
-            tokens = args[1:]
-            if len(tokens) == 1 and len(tokens[0]) > 1:
-                tokens = list(tokens[0])  # compact form, e.g. "_w_"
-            pads[args[0]] = (tuple(tokens), lineno)
+                raise _numbered("duplicate 'pad' for %r" % args[0], text, tokens, toks)
+            pads[args[0]] = toks
         else:
-            raise ParseError("line %d: unknown directive %r" % (lineno, key))
+            raise _numbered("unknown directive %r" % key, text, tokens, toks)
 
     if letters is None:
         raise ParseError("missing 'letters' declaration")
@@ -734,49 +715,45 @@ def parse_substitution(text: str):
         raise ParseError("missing 'initial' declaration")
 
     member = set(letters)
-    for name, (img, lineno) in rules.items():
+    for name, toks in rules.items():
         if name not in member:
-            raise ParseError("line %d: rule for undeclared letter %r" % (lineno, name))
-        for b in img:
+            raise _numbered("rule for undeclared letter %r" % name, text, tokens, toks)
+        for b in toks[3:]:
             if b not in member:
-                raise ParseError("line %d: rule uses undeclared letter %r" % (lineno, b))
+                raise _numbered("rule uses undeclared letter %r" % b, text, tokens, toks)
     for a in letters:
         if a not in rules:
             raise ParseError("missing rule for letter %r" % a)
-    for name, (sym, lineno) in outs.items():
+    for name, toks in outs.items():
         if name not in member:
-            raise ParseError("line %d: 'out' for undeclared letter %r" % (lineno, name))
-        if sym not in outputs:
-            raise ParseError("line %d: unknown output token %r" % (lineno, sym))
+            raise _numbered("'out' for undeclared letter %r" % name, text, tokens, toks)
+        if toks[2] not in outputs:
+            raise _numbered("unknown output token %r" % toks[2], text, tokens, toks)
     for a in letters:
         if a not in outs:
             raise ParseError("missing 'out' line for letter %r" % a)
-    init_name, init_line = initial
-    if init_name not in member:
-        raise ParseError("line %d: unknown letter %r" % (init_line, init_name))
+    if initial[1] not in member:
+        raise _numbered("unknown letter %r" % initial[1], text, tokens, initial)
 
     try:
-        s = Substitution(
-            alphabet=letters,
-            rules=tuple(rules[a][0] for a in letters),
-            outputs=outputs,
-            projection=tuple(outs[a][0] for a in letters),
-            initial=letters.index(init_name),
-        )
+        s = Substitution(letters, tuple([tuple(rules[a][3:]) for a in letters]), outputs,
+                         tuple([outs[a][2] for a in letters]), letters.index(initial[1]))
     except DomainError as e:
         raise ParseError(str(e)) from None
-
-    for name, (tpl, lineno) in pads.items():
+    for name, toks in pads.items():
         if name not in member:
-            raise ParseError("line %d: 'pad' for undeclared letter %r" % (lineno, name))
+            raise _numbered("'pad' for undeclared letter %r" % name, text, tokens, toks)
     templates = list(PaddingSpec.default(s).templates)
     for k, a in enumerate(letters):  # the default templates fit; check the others
         if a in pads:
-            tpl, lineno = pads[a]
+            tpl = pads[a][2:]
+            if len(tpl) == 1 and len(tpl[0]) > 1:
+                tpl = tpl[0]  # compact form, e.g. "_w_"
+            tpl = tuple(tpl)
             try:
                 _check_template(a, s.rules[k], tpl, s.q)
             except DomainError as e:
-                raise ParseError("line %d: %s" % (lineno, e)) from None
+                raise _numbered(str(e), text, tokens, pads[a]) from None
             templates[k] = tpl
     return s, PaddingSpec(tuple(templates))
 

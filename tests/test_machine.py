@@ -163,6 +163,24 @@ def test_format_word():
     assert format_word((0, 11), 12) == "0,11"
 
 
+def test_format_word_checks_its_word():
+    # a bool prints as its int, a string is read as parse_word reads it, and
+    # no symbol outside 0..q-1 prints as digits that read back as others
+    # (test_values.py's WORDS holds the checks every word argument shares)
+    assert format_word((True, 0), 2) == "10"
+    assert format_word("0 1,1", 2) == "011" and format_word("0,11", 12) == "0,11"
+    for word, q in [((0, 12), 10), ((0, -1), 12), ("02", 2)]:
+        with pytest.raises(DomainError, match="input symbol -?[0-9]+ out of range"):
+            format_word(word, q)
+
+
+@given(st.integers(1, 12).flatmap(lambda q: st.tuples(st.just(q), st.lists(
+    st.integers(0, q - 1) | st.sampled_from((False, True)[:q]), max_size=12))))
+def test_format_word_round_trip(case):
+    q, w = case
+    assert parse_word(format_word(w, q), q) == tuple(map(int, w))
+
+
 # --- actions -----------------------------------------------------------------
 
 def test_right_action_examples(paper):

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from mooredual.cli import run_cli
 from mooredual.machine import (DomainError, MooreMachine, ParseError, emit_machine,
                                parse_machine, parse_word)
-from mooredual.substitution import parse_substitution
+from mooredual.substitution import (OMEGA, SLOT, PaddingSpec, Substitution, emit_substitution,
+                                    parse_substitution)
 
 from conftest import DATA, machines
 
@@ -473,6 +474,84 @@ def test_subst_parse_error_precedence(text, message):
     with pytest.raises(ParseError) as info:
         parse_substitution(text)
     assert str(info.value) == message
+
+
+@st.composite
+def subst_texts_with_one_bad_line(draw):
+    """(text, number of its one bad line): an emitted substitution, sometimes
+    with 'pad' lines, with blank and comment lines mixed in, and one line
+    that makes it a ParseError."""
+    alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    letter = st.sampled_from(alphabet)
+    rules = tuple(tuple(draw(st.lists(letter, min_size=1, max_size=3))) for _ in alphabet)
+    s = Substitution(alphabet, rules, ("0", "1"),
+                     tuple(draw(st.sampled_from("01")) for _ in alphabet),
+                     draw(st.integers(0, len(alphabet) - 1)))
+    pad = None
+    if draw(st.booleans()):
+        pad = PaddingSpec(tuple(tuple(draw(st.permutations(tpl)))
+                                for tpl in PaddingSpec.default(s).templates))
+    lines = emit_substitution(s, pad).splitlines()
+    q, a = s.q, draw(letter)
+    kinds = ["letters", "outputs", "initial", "rule", "out", "pad", "directive",
+             "duplicate rule", "duplicate out", "undeclared rule", "undeclared out",
+             "undeclared pad", "undeclared image letter", "unknown output", "bad template"]
+    if any(line.startswith("pad ") for line in lines):
+        kinds.append("duplicate pad")
+    kind = draw(st.sampled_from(kinds))
+    after = 1  # the bad line goes after the header, and after what it repeats
+    if kind == "letters":
+        bad = draw(st.sampled_from(["letters", "letters a a", "letters ω"]))
+    elif kind == "outputs":
+        bad = draw(st.sampled_from(["outputs", "outputs 0 0", "outputs ⊥"]))
+    elif kind == "initial":
+        bad = draw(st.sampled_from(["initial", "initial a a"]))
+    elif kind == "rule":
+        bad = draw(st.sampled_from(["rule", "rule a", "rule a ->", "rule a = a"]))
+    elif kind == "out":
+        bad = draw(st.sampled_from(["out", "out a", "out a 0 1"]))
+    elif kind == "pad":
+        bad = draw(st.sampled_from(["pad", "pad a"]))
+    elif kind == "directive":
+        bad = draw(st.sampled_from(["RULE a -> a", "start a", "subst v1"]))
+    elif kind.startswith("duplicate"):
+        directive = kind.split()[1]
+        k = draw(st.sampled_from([k for k, line in enumerate(lines)
+                                  if line.startswith(directive + " ")]))
+        bad, after = lines[k], k + 1
+    elif kind.startswith("undeclared"):
+        bad = {"rule": "rule z -> a", "out": "out z 0", "pad": "pad z _",
+               "image": "rule %s -> %s z" % (a, a)}[kind.split()[1]]
+        if kind.endswith("letter"):
+            lines.remove("rule %s -> %s" % (a, " ".join(s.image(a))))
+    elif kind == "unknown output":
+        lines.remove("out %s %s" % (a, s.projection[s.letter_index(a)]))
+        bad = "out %s 2" % a
+    else:
+        lines = [line for line in lines if not line.startswith("pad %s " % a)]
+        bad = "pad %s %s" % (a, draw(st.sampled_from([
+            SLOT * (q + 1), SLOT * (q - 1) + "x", OMEGA * q])))
+    pos = draw(st.integers(after, len(lines)))
+    lines.insert(pos, bad + draw(st.sampled_from(["", " ", "\t# trailing comment"])))
+    # blank and comment lines anywhere, the header's line included
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(NOISE)))
+        pos += at <= pos
+    seps = [draw(st.sampled_from(SEPARATORS)) for _ in lines]
+    for k in range(len(lines) - 1):
+        # "\r" then an empty line ended by "\n" would read as one "\r\n" break
+        if seps[k] == "\r" and lines[k + 1] == "" and seps[k + 1] == "\n":
+            seps[k] = "\r\n"
+    return "".join(map(str.__add__, lines, seps)), pos + 1
+
+
+@given(subst_texts_with_one_bad_line())
+def test_subst_parse_errors_name_the_bad_line(case):
+    text, lineno = case
+    with pytest.raises(ParseError) as info:
+        parse_substitution(text)
+    assert str(info.value).startswith("line %d: " % lineno)
 
 
 def test_subst_directives_in_any_order():

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from mooredual import substitution
 from mooredual.duality import bidual
 from mooredual.equivalence import equivalent, minimize, state_classes
-from mooredual.machine import DomainError, ParseError, left_action, run_left, trim
+from mooredual.machine import (DomainError, MooreMachine, ParseError, left_action, run_left,
+                               trim)
 from mooredual.substitution import (
     OMEGA,
     SINK_OUTPUT,
@@ -968,27 +969,10 @@ def test_padding_spec_builds_from_anything(fib, templates):
 
 
 class _Unshaped:
-    """Templates without a shape, so PaddingSpec.validate runs its full check."""
-
-    _shape = None
+    """Templates outside a PaddingSpec, for PaddingSpec.validate to check as given."""
 
     def __init__(self, templates):
         self.templates = templates
-
-
-@given(st.lists(st.lists(st.sampled_from([SLOT, OMEGA, "x"]), max_size=4), max_size=4))
-def test_padding_shape_agrees_with_full_check(templates):
-    s = Substitution(
-        ("a", "b", "c"), (("a", "b", "c"), ("c",), ("b", "a")), ("0",), ("0",) * 3, 0
-    )
-    outcomes = []
-    for pad in (PaddingSpec(tuple(map(tuple, templates))), _Unshaped(templates)):
-        try:
-            PaddingSpec.validate(pad, s)
-            outcomes.append(None)
-        except DomainError as e:
-            outcomes.append(str(e))
-    assert outcomes[0] == outcomes[1]
 
 
 def test_letter_at_checks_padding():
@@ -1105,9 +1089,6 @@ def test_warm_reads_below_the_prefix_neither_bisect_nor_validate(monkeypatch):
     monkeypatch.setattr(substitution, "bisect_right", refuse("bisect_right"))
     monkeypatch.setattr(substitution, "_unrank", refuse("_unrank"))
     monkeypatch.setattr(PaddingSpec, "validate", refuse("validate"))
-    # a shape that no longer matches would send an unremembered padding to
-    # a full validation
-    object.__setattr__(pad, "_shape", None)
     for j18 in range(0, length, 3):
         assert letter_at(fib, pad, 18, j18) == fixed[j18]
     for far in [*range(0, reach, 37), reach - 1]:
@@ -1268,6 +1249,15 @@ def test_warm_letter_at_matches_expansion_around_the_reach(subst, bound):
             assert letter_at(s, pad, k, length - 1) == fixed[length - 1]
             with pytest.raises(DomainError, match="length %d" % length):
                 letter_at(s, pad, k, length)
+
+
+@given(st.one_of(padded_substitutions(), any_substitutions().map(lambda s: (s, None))))
+def test_padded_machine_passes_the_checked_constructor(subst):
+    # to_padded_machine builds its machine without MooreMachine's checks,
+    # so every one of them must hold: the checked constructor takes its fields
+    s, pad = subst
+    m = to_padded_machine(s, pad).machine
+    assert MooreMachine(*m._key()) == m
 
 
 def fixed_point_string(s, n):

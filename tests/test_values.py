@@ -203,6 +203,7 @@ WORDS = {
     "left_action": lambda w: left_action(MooreMachine(**MACHINE), w, 0),
     "run_right": lambda w: run_right(MooreMachine(**MACHINE), w),
     "phi": lambda w: phi(w, 2),
+    "format_word": lambda w: format_word(w, 2),
 }
 
 
