@@ -37,8 +37,8 @@ class Substitution(_Value):
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
     hashing and repr ignore: the index of each letter name, the rules as
-    letter indices, whether every image has length q, the block table (see
-    ``_blocks``), built by the first ``letter_at`` or ``letter_at_constant``,
+    letter indices, whether every image has length q, the block table (a
+    ``_BlockTable``), built by the first ``letter_at`` or ``letter_at_constant``,
     and the last padding ``letter_at`` checked in full whose templates are
     tuples of strings, which cannot change.
     """
@@ -92,36 +92,8 @@ class Substitution(_Value):
         object.__setattr__(self, "_checked_pad", None)
 
     def _blocks(self):
-        """The block table ``(t, words, levels, letters, size, limits, depth,
-        reach, width, starts, offsets, blockwords)``.
-
-        ``words[a]`` is sigma^t(a) as letter names, for the deepest t whose
-        levels 0..t hold at most _BLOCK_LETTERS letters together (level 0
-        always).  For a constant-length substitution, which
-        ``letter_at_constant`` reads them for, ``levels[r][a]`` is
-        sigma^r(a) as letter indices, for r = 0..t (else levels is None).
-
-        The rest indexes the fixed point, and is empty without one.
-        ``letters`` is its first _BLOCK_LETTERS letters, as names, and
-        ``blockwords[i]`` is sigma^t(letters[i]), which starts at
-        ``offsets[i]`` (an ``array('q')``); the last offset is the
-        ``reach``, below which ``letter_at`` reads the table.  ``limits[r]``
-        is min(|sigma^r(start)|, reach), up to the first r whose iterate
-        reaches that far: iterates of a fixed point strictly grow, so at most
-        reach + 1 entries ((0,) without a fixed point).  ``size`` and
-        ``depth`` are the lengths of letters and limits, kept because a
-        ``len`` call would cost a warm read a tenth of its time.
-
-        ``starts[b]`` (an ``array('H')``) is the block that holds letter
-        min(b * width, reach - 1), for b = 0..ceil(reach / width).
-        ``width`` is the shortest block, raised to ceil(reach / (2 *
-        _BLOCK_LETTERS)) if that is longer: so at most 2 * _BLOCK_LETTERS + 1
-        starts, and while width is the shortest block no bucket of width
-        letters spans more than two blocks.
-
-        Built on first use and published in one attribute store, so threads
-        may share it.
-        """
+        """The block table (see ``_BlockTable``), built on first use and
+        published in one attribute store, so threads may share it."""
         blocks = self._block_table
         if blocks is None:
             rows = self._rows
@@ -154,10 +126,12 @@ class Substitution(_Value):
                         i += 1
                     starts.append(i)
                 starts.append(len(prefix) - 1)  # the block that holds letter reach - 1
-            blocks = (len(levels) - 1, words, tuple(levels) if self._constant_length else None,
-                      tuple([names[x] for x in prefix]), len(prefix), tuple(limits),
-                      len(limits), reach, width, starts, offsets,
-                      tuple([words[x] for x in prefix]))
+            blocks = _BlockTable(
+                t=len(levels) - 1, words=words,
+                levels=tuple(levels) if self._constant_length else None,
+                letters=tuple([names[x] for x in prefix]), size=len(prefix),
+                limits=tuple(limits), depth=len(limits), reach=reach, width=width,
+                starts=starts, offsets=offsets, blockwords=tuple([words[x] for x in prefix]))
             object.__setattr__(self, "_block_table", blocks)
         return blocks
 
@@ -174,6 +148,42 @@ class Substitution(_Value):
 
     def image(self, a) -> tuple[str, ...]:
         return self.rules[self.letter_index(a)]
+
+
+class _BlockTable(_Value):
+    """A substitution's block table, read by name: each warm query loads only
+    the fields of the path it takes.
+
+    ``words[a]`` is sigma^t(a) as letter names, for the deepest t whose
+    levels 0..t hold at most _BLOCK_LETTERS letters together (level 0
+    always).  For a constant-length substitution, which
+    ``letter_at_constant`` reads them for, ``levels[r][a]`` is sigma^r(a) as
+    letter indices, for r = 0..t (else levels is None).
+
+    The rest indexes the fixed point, and is empty without one.  ``letters``
+    is its first _BLOCK_LETTERS letters, as names, and ``blockwords[i]`` is
+    sigma^t(letters[i]), which starts at ``offsets[i]`` (an ``array('q')``);
+    the last offset is the ``reach``, below which ``letter_at`` reads the
+    table.  ``limits[r]`` is min(|sigma^r(start)|, reach), up to the first r
+    whose iterate reaches that far: iterates of a fixed point strictly grow,
+    so at most reach + 1 entries ((0,) without a fixed point).  ``size`` and
+    ``depth`` are the lengths of letters and limits, kept because a ``len``
+    call would cost a warm read a tenth of its time.
+
+    ``starts[b]`` (an ``array('H')``) is the block that holds letter
+    min(b * width, reach - 1), for b = 0..ceil(reach / width).  ``width`` is
+    the shortest block, raised to ceil(reach / (2 * _BLOCK_LETTERS)) if that
+    is longer: so at most 2 * _BLOCK_LETTERS + 1 starts, and while width is
+    the shortest block no bucket of width letters spans more than two blocks.
+    """
+
+    __slots__ = _fields = ("t", "words", "levels", "letters", "size", "limits", "depth",
+                           "reach", "width", "starts", "offsets", "blockwords")
+
+    def __init__(self, t, words, levels, letters, size, limits, depth, reach, width, starts,
+                 offsets, blockwords):
+        self._set(t, words, levels, letters, size, limits, depth, reach, width, starts,
+                  offsets, blockwords)
 
 
 class PaddingSpec(_Value):
@@ -352,16 +362,17 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     if state is None:  # a letter index, or no letter
         state = s.letter_index(a)
     blocks = s._block_table or s._blocks()
-    t, words, levels = blocks[0], blocks[1], blocks[2]
+    t = blocks.t
     if k.__class__ is int is n.__class__ and 0 <= k <= t + t and 0 <= n:
         if k <= t:
-            image = levels[k][state]
+            image = blocks.levels[k][state]
             if n < len(image):
                 return s.alphabet[image[n]]
         else:
+            words = blocks.words
             size = len(words[0])  # every sigma^t(b) has q**t letters
             hi = n // size
-            image = levels[k - t][state]
+            image = blocks.levels[k - t][state]
             if hi < len(image):
                 return words[image[hi]][n - hi * size]
     q = s.q
@@ -376,6 +387,7 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
         raise DomainError("index %d out of range for step %d" % (n, k))
     if k <= t + t:  # a bool or another int subclass: the table answers
         return letter_at_constant(s, int(k), state, int(n))
+    words = blocks.words
     rows, size, steps = s._rows, len(words[0]), k - t  # size = q**d, steps = k - d
     while size <= n:  # d from t up to the number of base-q digits of n
         size *= q
@@ -558,19 +570,19 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     unless it is the one the substitution remembers: the last that passed
     whose templates are tuples of strings, which cannot change.
     """
-    t, words, _, letters, size, limits, depth, reach, width, starts, offsets, blockwords = (
-        s._block_table or s._blocks())
+    blocks = s._block_table or s._blocks()
     if j.__class__ is int is k.__class__ and 0 <= k and 0 <= j < (
-            limits[k] if k < depth else reach):
-        if j < size:
-            letter = letters[j]
+            blocks.limits[k] if k < blocks.depth else blocks.reach):
+        if j < blocks.size:
+            letter = blocks.letters[j]
         else:
-            i = starts[j // width]
+            width, offsets = blocks.width, blocks.offsets
+            i = blocks.starts[j // width]
             if offsets[i + 1] <= j:
                 i += 1
                 if offsets[i + 1] <= j:  # only when width is longer than a block
-                    i = bisect_right(offsets, j, i + 1, starts[j // width + 1] + 1) - 1
-            letter = blockwords[i][j - offsets[i]]
+                    i = bisect_right(offsets, j, i + 1, blocks.starts[j // width + 1] + 1) - 1
+            letter = blocks.blockwords[i][j - offsets[i]]
     else:
         check_fixed_point(s)
         _check_ordered(k, "iteration count")
@@ -581,10 +593,10 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
             raise DomainError("index %d out of range for step %d" % (j, k))
         _check_int(k, "iteration count")
         _check_int(j, "index")
-        length, state, rank = _unrank(s._rows, s.initial, j, limit=k, stop=t)
+        length, state, rank = _unrank(s._rows, s.initial, j, limit=k, stop=blocks.t)
         if state is None:
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
-        letter = words[state][rank]
+        letter = blocks.words[state][rank]
     if pad is not s._checked_pad and pad is not None:
         pad.validate(s)
         templates = pad.templates

@@ -1,12 +1,12 @@
 """Mutation fuzzing of both text formats and of the CLI, and a sweep of the
-numeration entry points' integer parameters.
+integer parameters of the numeration and machine entry points.
 
 Valid .moore and .subst texts are mutated token by token: drops, swaps,
 huge integers, reserved names, duplicated or dropped lines.  Whatever comes
 out, a parser returns a value or raises ParseError, and ``run_cli`` returns
 an exit code in 0-3 without raising.  Whatever value an integer parameter
 gets, a numeration entry point returns a value or raises DomainError or
-ParseError.
+ParseError, and a machine entry point returns a value or raises DomainError.
 """
 
 import contextlib
@@ -17,14 +17,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mooredual.cli import run_cli
+from mooredual.duality import dual, dual_with_vectors
+from mooredual.equivalence import states_equivalent
 from mooredual.machine import (
     DomainError,
     MooreMachine,
     ParseError,
     emit_machine,
     format_word,
+    left_action,
     parse_machine,
     parse_word,
+    right_action,
 )
 from mooredual.substitution import (
     expand_fixed_point,
@@ -229,5 +233,46 @@ def test_numeration_integer_parameters(call, value):
     outcome = numeration_outcome(call, value)
     if isinstance(value, int):  # a bool or an int subclass answers as its int
         assert outcome == numeration_outcome(call, int(value))
+    else:  # no other value is read as an int
+        assert outcome[0] == "DomainError"
+
+
+# each machine entry point with one integer parameter set to the swept value,
+# on the example machine (3 states, 2 inputs, a 4-state dual)
+MACHINE_CALLS = {
+    "dual max_states": lambda v, m: dual(m, max_states=v),
+    "dual_with_vectors max_states": lambda v, m: dual_with_vectors(m, max_states=v),
+    "left_action state": lambda v, m: left_action(m, (0, 1, 1), v),
+    "right_action state": lambda v, m: right_action(m, v, (0, 1, 1)),
+    "states_equivalent a": lambda v, m: states_equivalent(m, v, 2),
+    "states_equivalent b": lambda v, m: states_equivalent(m, 0, v),
+    "MooreMachine input_count": lambda v, m: replaced(m, input_count=v),
+    "MooreMachine initial": lambda v, m: replaced(m, initial=v),
+    "MooreMachine transition target": lambda v, m: replaced(
+        m, transition=((0, v),) + m.transition[1:]),
+}
+
+
+def replaced(m, **fields):
+    """The checked constructor on m's fields, some of them replaced."""
+    return MooreMachine(**dict(zip(m._fields, m._key()), **fields))
+
+
+def machine_outcome(call, value):
+    """The value a call returns or the DomainError it raises; any other
+    exception fails."""
+    m = parse_machine(read_data("example.moore"))
+    try:
+        return "value", MACHINE_CALLS[call](value, m)
+    except DomainError as err:
+        return "DomainError", str(err)
+
+
+@pytest.mark.parametrize("value", NOT_PLAIN_INTS, ids=repr)
+@pytest.mark.parametrize("call", MACHINE_CALLS)
+def test_machine_integer_parameters(call, value):
+    outcome = machine_outcome(call, value)
+    if isinstance(value, int):  # a bool or an int subclass answers as its int
+        assert outcome == machine_outcome(call, int(value))
     else:  # no other value is read as an int
         assert outcome[0] == "DomainError"

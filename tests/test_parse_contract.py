@@ -238,6 +238,25 @@ SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\
 NOISE = ["", "  \t", "#", "# a comment", "   # indented comment"]
 
 
+def with_bad_line(draw, lines, bad, after):
+    """(text, number of its bad line): lines with bad inserted at a drawn
+    position from after on, blank and comment lines mixed in, and each line
+    ended by a drawn separator."""
+    pos = draw(st.integers(after, len(lines)))
+    lines.insert(pos, bad + draw(st.sampled_from(["", " ", "\t# trailing comment"])))
+    # blank and comment lines anywhere, the header's line included
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(NOISE)))
+        pos += at <= pos
+    seps = [draw(st.sampled_from(SEPARATORS)) for _ in lines]
+    for k in range(len(lines) - 1):
+        # "\r" then an empty line ended by "\n" would read as one "\r\n" break
+        if seps[k] == "\r" and lines[k + 1] == "" and seps[k + 1] == "\n":
+            seps[k] = "\r\n"
+    return "".join(map(str.__add__, lines, seps)), pos + 1
+
+
 @st.composite
 def texts_with_one_bad_line(draw):
     """(text, number of its one bad line): an emitted machine with blank and
@@ -280,19 +299,7 @@ def texts_with_one_bad_line(draw):
         bad = "initial zz"
     else:
         bad = "state zz oX"
-    pos = draw(st.integers(after, len(lines)))
-    lines.insert(pos, bad + draw(st.sampled_from(["", " ", "\t# trailing comment"])))
-    # blank and comment lines anywhere, the header's line included
-    for _ in range(draw(st.integers(0, 6))):
-        at = draw(st.integers(0, len(lines)))
-        lines.insert(at, draw(st.sampled_from(NOISE)))
-        pos += at <= pos
-    seps = [draw(st.sampled_from(SEPARATORS)) for _ in lines]
-    for k in range(len(lines) - 1):
-        # "\r" then an empty line ended by "\n" would read as one "\r\n" break
-        if seps[k] == "\r" and lines[k + 1] == "" and seps[k + 1] == "\n":
-            seps[k] = "\r\n"
-    return "".join(map(str.__add__, lines, seps)), pos + 1
+    return with_bad_line(draw, lines, bad, after)
 
 
 @given(texts_with_one_bad_line())
@@ -531,19 +538,7 @@ def subst_texts_with_one_bad_line(draw):
         lines = [line for line in lines if not line.startswith("pad %s " % a)]
         bad = "pad %s %s" % (a, draw(st.sampled_from([
             SLOT * (q + 1), SLOT * (q - 1) + "x", OMEGA * q])))
-    pos = draw(st.integers(after, len(lines)))
-    lines.insert(pos, bad + draw(st.sampled_from(["", " ", "\t# trailing comment"])))
-    # blank and comment lines anywhere, the header's line included
-    for _ in range(draw(st.integers(0, 6))):
-        at = draw(st.integers(0, len(lines)))
-        lines.insert(at, draw(st.sampled_from(NOISE)))
-        pos += at <= pos
-    seps = [draw(st.sampled_from(SEPARATORS)) for _ in lines]
-    for k in range(len(lines) - 1):
-        # "\r" then an empty line ended by "\n" would read as one "\r\n" break
-        if seps[k] == "\r" and lines[k + 1] == "" and seps[k + 1] == "\n":
-            seps[k] = "\r\n"
-    return "".join(map(str.__add__, lines, seps)), pos + 1
+    return with_bad_line(draw, lines, bad, after)
 
 
 @given(subst_texts_with_one_bad_line())

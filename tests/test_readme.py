@@ -1,6 +1,7 @@
 """README.md's Python example runs from the repository root as its comments say."""
 
 import re
+import warnings
 from pathlib import Path
 
 from mooredual import Counterexample
@@ -13,7 +14,11 @@ def test_readme_python_example(monkeypatch, capsys):
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
     monkeypatch.chdir(ROOT)
     names = {}
-    exec(compile(example, "README.md", "exec"), names)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        exec(compile(example, "README.md", "exec"), names)
+    # the example closes every file it opens
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     m, d, b = names["m"], names["d"], names["b"]
     assert d.n == 4
     assert b.n == 2

@@ -7,7 +7,6 @@ import time
 import tracemalloc
 from array import array
 from itertools import accumulate
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -60,11 +59,10 @@ BLOCK_FIELDS = ("t", "words", "levels", "letters", "size", "limits", "depth", "r
 
 
 def block_table(s):
-    """The fields of the block table of s, by name; the stored sizes are
-    checked against what they count."""
-    blocks = s._blocks()
-    assert len(blocks) == len(BLOCK_FIELDS)
-    table = SimpleNamespace(**dict(zip(BLOCK_FIELDS, blocks)))
+    """The block table of s, whose fields are BLOCK_FIELDS; the stored sizes
+    are checked against what they count."""
+    table = s._blocks()
+    assert table._fields == BLOCK_FIELDS
     assert table.size == len(table.letters) and table.depth == len(table.limits)
     return table
 
@@ -657,7 +655,7 @@ def test_letter_at_in_every_block_regime(bound, monkeypatch):
         s, pad = parse_substitution(read_data(name))
         assert_letter_at_matches_oracles(s, pad)
         assert_psi_matches_oracle(to_padded_machine(s, pad))
-        assert s._blocks()[0] <= (1 if bound <= 5 else 5)
+        assert s._blocks().t <= (1 if bound <= 5 else 5)
     assert_letter_at_constant_matches_expansion(
         parse_substitution(read_data("threeletter.subst"))[0], 7)
 
@@ -895,7 +893,7 @@ def test_letter_at_constant_on_both_sides_of_t_and_2t(bound, s, data):
     # an image is out of range
     with mock.patch.object(substitution, "_BLOCK_LETTERS", bound):
         s = fresh(s)
-        t = s._blocks()[0]
+        t = s._blocks().t
     q, block, expanded = s.q, s.q ** t, {}
     for a in s.alphabet:
         word = (a,)
@@ -921,7 +919,7 @@ def test_letter_at_constant_on_both_sides_of_t_and_2t(bound, s, data):
 def test_letter_at_constant_matches_the_dual(s, data):
     # the paper's duality as the oracle: the dual of the letter machine reads
     # the digits of n on the right; steps on both sides of 2t, and bools
-    t = s._blocks()[0]
+    t = s._blocks().t
     a = data.draw(st.sampled_from(s.alphabet))
     k = data.draw(st.integers(0, 2 * t + 8) | st.integers(2 * t + 1, 2 * t + 8) | st.booleans())
     n = data.draw(st.integers(0, s.q ** k - 1))
@@ -950,15 +948,15 @@ def test_non_constant_errors_build_no_table():
     5,
 ])
 def test_padding_spec_builds_from_anything(fib, templates):
-    # a shape is kept only for tuples of strings; the rest is checked token
-    # by token, with the errors the full check gives
+    # a PaddingSpec keeps its templates as given and validates as those raw
+    # templates do, with the same errors, even after one of them is mutated
     pad = PaddingSpec(templates)
     try:
         got = pad.validate(fib)
     except (DomainError, TypeError) as e:
         got = type(e), str(e)
     try:
-        want = PaddingSpec.validate(_Unshaped(templates), fib)
+        want = PaddingSpec.validate(_RawTemplates(templates), fib)
     except (DomainError, TypeError) as e:
         want = type(e), str(e)
     assert got == want
@@ -968,7 +966,7 @@ def test_padding_spec_builds_from_anything(fib, templates):
             pad.validate(fib)
 
 
-class _Unshaped:
+class _RawTemplates:
     """Templates outside a PaddingSpec, for PaddingSpec.validate to check as given."""
 
     def __init__(self, templates):
@@ -1021,7 +1019,7 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
     fib, pad = parse_substitution(read_data("fib.subst"))
     const = parse_substitution(read_data("threeletter.subst"))[0]
     prefix = fixed_point_by_levels(fib, fixed_point_lengths(fib, 18)[18])
-    t = const._blocks()[0]
+    t = const._blocks().t
     steps = (t, t + 1, 11, 2 * t)  # one table read, then two
     images = {k: expand_iterate(const, "i", k) for k in steps}
     assert letter_at(fib, pad, 18, 0) == prefix[0]
