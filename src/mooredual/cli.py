@@ -201,55 +201,44 @@ def _subst_parser() -> argparse.ArgumentParser:
 
 def _run_subst(args_list) -> int:
     # loaded here, so that `moore` commands never compile the substitution layer
-    from .substitution import (
-        emit_substitution,
-        expand_fixed_point,
-        format_letters,
-        letter_at,
-        letter_at_constant,
-        minimize_substitution,
-        parse_substitution,
-        phi,
-        psi,
-        to_padded_machine,
-    )
+    from . import substitution as sub
 
     args = _subst_parser().parse_args(args_list)
     cmd = args.command
-    s, pad = parse_substitution(_read(args.file))
+    s, pad = sub.parse_substitution(_read(args.file))
 
     if cmd == "validate":
         print("ok: %d letters, q=%d, %d outputs" % (len(s.alphabet), s.q, len(s.outputs)))
         return EXIT_OK
 
     if cmd == "expand":
-        letters = expand_fixed_point(s, args.n, project=args.project)
-        print("".join(letters) if args.project else format_letters(s, letters))
+        letters = sub.expand_fixed_point(s, args.n, project=args.project)
+        print("".join(letters) if args.project else sub.format_letters(s, letters))
         return EXIT_OK
 
     if cmd == "letter":
         if args.start is not None:
-            print(letter_at_constant(s, args.k, args.start, args.n))
+            print(sub.letter_at_constant(s, args.k, args.start, args.n))
         else:
-            print(letter_at(s, pad, args.k, args.n))
+            print(sub.letter_at(s, pad, args.k, args.n))
         return EXIT_OK
 
     if cmd == "phi":
-        print(phi(parse_word(args.word, s.q), s.q))
+        print(sub.phi(parse_word(args.word, s.q), s.q))
         return EXIT_OK
 
     if cmd == "psi":
-        pm = to_padded_machine(s, pad)
-        print(format_word(psi(pm, args.n), s.q))
+        pm = sub.to_padded_machine(s, pad)
+        print(format_word(sub.psi(pm, args.n), s.q))
         return EXIT_OK
 
     if cmd == "minimize":
-        small, note = minimize_substitution(s, pad)
-        _write("# %s\n%s" % (note, emit_substitution(small)), args.output)
+        small, note = sub.minimize_substitution(s, pad)
+        _write("# %s\n%s" % (note, sub.emit_substitution(small)), args.output)
         return EXIT_OK
 
     if cmd == "to-machine":
-        _write(emit_machine(to_padded_machine(s, pad).machine), args.output)
+        _write(emit_machine(sub.to_padded_machine(s, pad).machine), args.output)
         return EXIT_OK
 
     raise AssertionError("unhandled command %r" % cmd)

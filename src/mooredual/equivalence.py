@@ -7,7 +7,7 @@ from itertools import count
 from operator import itemgetter
 
 from .machine import (Counterexample, DomainError, MooreMachine, _check_machine, _closure,
-                      _machine, _numerals, trim)
+                      _machine, _numerals, _trimmed, trim)
 
 
 def _check_same_inputs(m1: MooreMachine, m2: MooreMachine):
@@ -67,10 +67,24 @@ def equivalent(m1: MooreMachine, m2: MooreMachine):
     pairs exist, so the breadth-first search is complete.
     """
     _check_same_inputs(m1, m2)
-    o1, o2 = m1.output_map[m1.initial], m2.output_map[m2.initial]
+    return _first_difference(m1, m2, m1.initial, m2.initial)
+
+
+def states_equivalent(m: MooreMachine, a, b) -> bool:
+    """Whether states a and b give equal outputs on every word."""
+    # A product search, not the refinement minimize uses, so the tests can
+    # hold minimize to an independent algorithm.
+    _check_machine(m)
+    return _first_difference(m, m, m.state_index(a), m.state_index(b)) is True
+
+
+def _first_difference(m1: MooreMachine, m2: MooreMachine, a1: int, a2: int):
+    """``equivalent``'s answer for m1 started in state a1 and m2 in a2: a
+    breadth-first search of the state pairs, letters ascending."""
+    o1, o2 = m1.output_map[a1], m2.output_map[a2]
     if o1 != o2:
         return Counterexample((), o1, o2)
-    start = (m1.initial, m2.initial)
+    start = (a1, a2)
     seen = {start}
     queue = deque([(start, ())])
     while queue:
@@ -86,18 +100,6 @@ def equivalent(m1: MooreMachine, m2: MooreMachine):
                 return Counterexample(wj, o1, o2)
             queue.append((p, wj))
     return True
-
-
-def states_equivalent(m: MooreMachine, a, b) -> bool:
-    """Whether states a and b give equal outputs on every word."""
-    # A product search, not the refinement minimize uses, so the tests can
-    # hold minimize to an independent algorithm.
-    _check_machine(m)
-    a, b = m.state_index(a), m.state_index(b)
-    # m with initial state a, then b: state_index has checked both
-    fields = (m.states, m.input_count, m.outputs, m.transition, m.output_map)
-    return equivalent(_machine(*fields, a, m.input_names),
-                      _machine(*fields, b, m.input_names)) is True
 
 
 def isomorphic(m1: MooreMachine, m2: MooreMachine):
@@ -138,14 +140,8 @@ def state_classes(m: MooreMachine) -> tuple[int, ...]:
     that is the breadth-first order of the quotient, which is also the
     numbering of the bidual.
     """
-    return tuple(_refine(*_trimmed(m)))
-
-
-def _trimmed(m: MooreMachine):
-    """trim(m), without building it as a machine: its outputs and its rows."""
-    _check_machine(m)
-    order, rows = _closure(m.initial, m.transition.__getitem__)
-    return tuple(map(m.output_map.__getitem__, order)), rows
+    _, outs, rows = _trimmed(m)
+    return tuple(_refine(outs, rows))
 
 
 def _refine(outs, rows) -> list[int]:
@@ -181,7 +177,7 @@ def minimize(m: MooreMachine) -> MooreMachine:
     the quotient's breadth-first order, so the result equals the normal form
     of the bidual.
     """
-    outs, rows = _trimmed(m)
+    _, outs, rows = _trimmed(m)
     classes = _refine(outs, rows)
     n = len(classes)
     # The last state's class is numbered n-1 only if each state is a class of

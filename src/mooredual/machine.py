@@ -80,8 +80,9 @@ class MooreMachine(_Value):
     """A deterministic machine: states, inputs 0..q-1, outputs, delta, lambda, initial.
 
     States are opaque name tokens; their positions in ``states`` are the
-    indices used by ``transition``, ``output_map`` and ``initial``.  Instances
-    are immutable and hashable, so they can be shared freely.
+    indices used by ``transition``, ``output_map`` and ``initial``.  The
+    constructor copies the sequence fields into tuples, so instances are
+    immutable and hashable and can be shared freely.
     """
 
     __slots__ = _fields = ("states", "input_count", "outputs", "transition", "output_map",
@@ -96,7 +97,11 @@ class MooreMachine(_Value):
 
     def __init__(self, states, input_count, outputs, transition, output_map, initial,
                  input_names=None):
-        self._set(states, input_count, outputs, transition, output_map, initial, input_names)
+        self._set(_tuple(states, "states"), input_count, _tuple(outputs, "outputs"),
+                  tuple([_tuple(row, "transition row")
+                         for row in _tuple(transition, "transition")]),
+                  _tuple(output_map, "output map"), initial,
+                  None if input_names is None else _tuple(input_names, "input names"))
         n, q = len(self.states), self.input_count
         if n < 1:
             raise DomainError("machine needs at least one state")
@@ -187,20 +192,21 @@ class Counterexample(_Value):
 
 # --- words ----------------------------------------------------------------
 
-def _word(word) -> tuple:
-    """The letters of word as a tuple; DomainError if it is not iterable."""
+def _tuple(value, what: str) -> tuple:
+    """The items of value as a tuple; DomainError naming it as ``what`` if it
+    is not iterable."""
     try:
-        letters = iter(word)
+        items = iter(value)
     except TypeError:
-        raise DomainError("word must be iterable, not %r" % (word,)) from None
-    return tuple(letters)
+        raise DomainError("%s must be iterable, not %r" % (what, value)) from None
+    return tuple(items)
 
 
 def validate_word(word, q: int) -> tuple[int, ...]:
     """The input symbols of word as a tuple; a string is read by parse_word."""
     if isinstance(word, str):
         return parse_word(word, q)
-    word = _word(word)
+    word = _tuple(word, "word")
     for j in word:
         if not isinstance(j, int) or not 0 <= j < q:
             _check_int(j, "input symbol")
@@ -307,25 +313,27 @@ def trim(m: MooreMachine) -> MooreMachine:
     The new state order is breadth-first discovery order with letters
     ascending; an already-ordered machine is returned unchanged.
     """
-    _check_machine(m)
-    order, rows = _closure(m.initial, m.transition.__getitem__)
+    order, outs, rows = _trimmed(m)
     if order == list(range(m.n)):
         return m
-    return _machine(
-        tuple(map(m.states.__getitem__, order)),
-        m.input_count,
-        m.outputs,
-        tuple(rows),
-        tuple(map(m.output_map.__getitem__, order)),
-        0,
-        m.input_names,
-    )
+    return _machine(tuple(map(m.states.__getitem__, order)), m.input_count, m.outputs,
+                    tuple(rows), outs, 0, m.input_names)
+
+
+def _trimmed(m: MooreMachine):
+    """trim(m), without building it as a machine: the states of m it keeps,
+    in its order, and their outputs and rows."""
+    _check_machine(m)
+    order, rows = _closure(m.initial, m.transition.__getitem__)
+    return order, tuple(map(m.output_map.__getitem__, order)), rows
 
 
 # --- text format -------------------------------------------------------------
 
 def _cut_lines(text: str) -> list[str]:
-    """The lines of text, each cut at its first '#'."""
+    """The lines of text, each cut at its first '#'; DomainError unless text is a str."""
+    if not isinstance(text, str):
+        raise DomainError("text must be a str, not %s" % type(text).__name__)
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
@@ -504,7 +512,10 @@ def emit_machine(m: MooreMachine, vectors=None) -> str:
     lines.append("outputs " + " ".join(m.outputs))
     states = m.states
     if vectors:
-        for name, out, vector in zip(states, m.output_map, vectors, strict=True):
+        vectors = _tuple(vectors, "vectors")
+        if len(vectors) != m.n:
+            raise DomainError("expected %d vectors, one per state, not %d" % (m.n, len(vectors)))
+        for name, out, vector in zip(states, m.output_map, vectors):
             lines.append("state %s %s  # vector: %s" % (name, out, " ".join(vector)))
     else:
         for name, out in zip(states, m.output_map):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import accumulate, islice
 
 from .equivalence import minimize
@@ -19,7 +20,7 @@ from .machine import (
     _machine,
     _numbered,
     _Value,
-    _word,
+    _tuple,
     validate_word,
 )
 
@@ -34,6 +35,7 @@ class Substitution(_Value):
     """A free-monoid endomorphism with an output projection and a start letter.
 
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
+    The constructor copies the sequence fields into tuples.
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
     hashing and repr ignore: the index of each letter name, the rules as
@@ -53,7 +55,9 @@ class Substitution(_Value):
     initial: int
 
     def __init__(self, alphabet, rules, outputs, projection, initial):
-        self._set(alphabet, rules, outputs, projection, initial)
+        self._set(_tuple(alphabet, "alphabet"),
+                  tuple([_tuple(img, "image") for img in _tuple(rules, "rules")]),
+                  _tuple(outputs, "outputs"), _tuple(projection, "projection"), initial)
         n = len(self.alphabet)
         if n < 1:
             raise DomainError("substitution needs at least one letter")
@@ -214,10 +218,22 @@ class PaddingSpec(_Value):
 
     def validate(self, s: Substitution):
         """Raise DomainError unless every template pads its letter's image to length q."""
+        # kept as given and read more than once, so sequences, not just iterables
+        if not isinstance(self.templates, Sequence):
+            raise DomainError("padding templates must be a sequence, not %r" % (self.templates,))
         if len(self.templates) != len(s.alphabet):
             raise DomainError("need one padding template per letter")
         for a, img, tpl in zip(s.alphabet, s.rules, self.templates):
+            if not isinstance(tpl, Sequence):
+                raise DomainError("template for %r must be a sequence, not %r" % (a, tpl))
             _check_template(a, img, tpl, s.q)
+
+
+def _check_padding(pad, s: Substitution):
+    """Raise DomainError unless pad is a PaddingSpec that ``validate`` passes for s."""
+    if not isinstance(pad, PaddingSpec):
+        raise DomainError("expected a PaddingSpec, not %r" % (pad,))
+    pad.validate(s)
 
 
 def _check_template(a, img, tpl, q: int):
@@ -270,7 +286,7 @@ def apply(s: Substitution, letters):
     if isinstance(letters, str):
         letters = parse_letters(s, letters)
     out = []
-    for a in _word(letters):
+    for a in _tuple(letters, "word"):
         out.extend(s.image(a))
     return tuple(out)
 
@@ -327,7 +343,7 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
     """
     if pad is None:
         pad = PaddingSpec.default(s)
-    pad.validate(s)
+    _check_padding(pad, s)
     q = s.q
     n = len(s.alphabet)
     rows = [
@@ -598,7 +614,7 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
             raise DomainError("index %d out of range for step %d (length %d)" % (j, k, length))
         letter = blocks.words[state][rank]
     if pad is not s._checked_pad and pad is not None:
-        pad.validate(s)
+        _check_padding(pad, s)
         templates = pad.templates
         if templates[s.initial][0] != SLOT:
             raise DomainError("numeration needs digit 0 to fix the initial letter")
@@ -624,14 +640,11 @@ def minimize_substitution(s: Substitution, pad: PaddingSpec | None = None):
     sink_class = b.output_map.index(SINK_OUTPUT) if SINK_OUTPUT in b.output_map else None
     live = [k for k in range(b.n) if k != sink_class]
     names = {c: "c%d" % pos for pos, c in enumerate(live)}
-    rules = tuple(
-        tuple(names[t] for t in b.transition[c] if t != sink_class) for c in live
-    )
     result = Substitution(
-        alphabet=tuple(names[c] for c in live),
-        rules=rules,
+        alphabet=[names[c] for c in live],
+        rules=[[names[t] for t in b.transition[c] if t != sink_class] for c in live],
         outputs=s.outputs,
-        projection=tuple(b.output_map[c] for c in live),
+        projection=[b.output_map[c] for c in live],
         initial=live.index(b.initial),
     )
     if sink_class is None:
@@ -747,11 +760,8 @@ def parse_substitution(text: str):
     if initial[1] not in member:
         raise _numbered("unknown letter %r" % initial[1], text, tokens, initial)
 
-    try:
-        s = Substitution(letters, tuple([tuple(rules[a][3:]) for a in letters]), outputs,
-                         tuple([outs[a][2] for a in letters]), letters.index(initial[1]))
-    except DomainError as e:
-        raise ParseError(str(e)) from None
+    s = Substitution(letters, [rules[a][3:] for a in letters], outputs,
+                     [outs[a][2] for a in letters], letters.index(initial[1]))
     for name, toks in pads.items():
         if name not in member:
             raise _numbered("'pad' for undeclared letter %r" % name, text, tokens, toks)
@@ -778,7 +788,7 @@ def emit_substitution(s: Substitution, pad: PaddingSpec | None = None) -> str:
     """
     _check_tokens(s.alphabet + s.outputs)
     if pad is not None:
-        pad.validate(s)
+        _check_padding(pad, s)
     lines = ["subst v1"]
     lines.append("letters " + " ".join(s.alphabet))
     lines.append("outputs " + " ".join(s.outputs))

@@ -1,5 +1,6 @@
-"""Mutation fuzzing of both text formats and of the CLI, and a sweep of the
-integer parameters of the numeration and machine entry points.
+"""Mutation fuzzing of both text formats and of the CLI, and sweeps of the
+integer and padding parameters of the numeration and machine entry points
+and of the constructors' sequence fields.
 
 Valid .moore and .subst texts are mutated token by token: drops, swaps,
 huge integers, reserved names, duplicated or dropped lines.  Whatever comes
@@ -7,6 +8,7 @@ out, a parser returns a value or raises ParseError, and ``run_cli`` returns
 an exit code in 0-3 without raising.  Whatever value an integer parameter
 gets, a numeration entry point returns a value or raises DomainError or
 ParseError, and a machine entry point returns a value or raises DomainError.
+So does every padding argument and every constructor's sequence field.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from mooredual.cli import run_cli
 from mooredual.duality import dual, dual_with_vectors
-from mooredual.equivalence import states_equivalent
+from mooredual.equivalence import minimize, states_equivalent
 from mooredual.machine import (
     DomainError,
     MooreMachine,
@@ -31,9 +33,13 @@ from mooredual.machine import (
     right_action,
 )
 from mooredual.substitution import (
+    PaddingSpec,
+    Substitution,
+    emit_substitution,
     expand_fixed_point,
     letter_at,
     letter_at_constant,
+    minimize_substitution,
     parse_substitution,
     phi,
     psi,
@@ -220,7 +226,7 @@ def numeration_outcome(call, value):
     outcomes = []
     for _ in range(2):
         try:
-            outcomes.append(("value", NUMERATION_CALLS[call](value, fib, pad, const)))
+            outcomes.append(("value", call(value, fib, pad, const)))
         except (DomainError, ParseError) as err:
             outcomes.append((type(err).__name__, str(err)))
     assert outcomes[0] == outcomes[1]
@@ -230,10 +236,35 @@ def numeration_outcome(call, value):
 @pytest.mark.parametrize("value", NOT_PLAIN_INTS, ids=repr)
 @pytest.mark.parametrize("call", NUMERATION_CALLS)
 def test_numeration_integer_parameters(call, value):
+    call = NUMERATION_CALLS[call]
     outcome = numeration_outcome(call, value)
     if isinstance(value, int):  # a bool or an int subclass answers as its int
         assert outcome == numeration_outcome(call, int(value))
     else:  # no other value is read as an int
+        assert outcome[0] == "DomainError"
+
+
+# each entry point that takes a padding, with the padding set to the swept value
+PADDING_CALLS = {
+    "letter_at": lambda v, fib, pad, const: letter_at(fib, v, 5, 3),
+    "to_padded_machine": lambda v, fib, pad, const: to_padded_machine(fib, v),
+    "emit_substitution": lambda v, fib, pad, const: emit_substitution(fib, v),
+    "minimize_substitution": lambda v, fib, pad, const: minimize_substitution(fib, v),
+}
+
+NOT_PADDINGS = NOT_PLAIN_INTS + [
+    PaddingSpec(None), PaddingSpec(5), PaddingSpec((5, 5)), PaddingSpec((("_", "_"), {"_"})),
+    PaddingSpec({("_", "_"): 0, ("_", "w"): 1}), (("_", "_"), ("_", "w")),
+]
+
+
+@pytest.mark.parametrize("value", NOT_PADDINGS, ids=repr)
+@pytest.mark.parametrize("call", PADDING_CALLS)
+def test_numeration_padding_parameters(call, value):
+    outcome = numeration_outcome(PADDING_CALLS[call], value)
+    if value is None:  # the default padding
+        assert outcome[0] == "value"
+    else:  # only a PaddingSpec of sequences is a padding
         assert outcome[0] == "DomainError"
 
 
@@ -276,3 +307,37 @@ def test_machine_integer_parameters(call, value):
         assert outcome == machine_outcome(call, int(value))
     else:  # no other value is read as an int
         assert outcome[0] == "DomainError"
+
+
+# each sequence field of the two constructors, with its rows or images
+SEQUENCE_FIELDS = [(MooreMachine, name) for name in
+                   ("states", "outputs", "transition", "output_map", "input_names")]
+SEQUENCE_FIELDS += [(Substitution, name) for name in
+                    ("alphabet", "rules", "outputs", "projection")]
+
+
+@pytest.mark.parametrize("value", [None, 5, list], ids=["None", "5", "list"])
+@pytest.mark.parametrize("cls, name", SEQUENCE_FIELDS,
+                         ids=["%s %s" % (cls.__name__, name) for cls, name in SEQUENCE_FIELDS])
+def test_constructor_sequence_fields(cls, name, value):
+    if cls is MooreMachine:
+        base = MooreMachine(*parse_machine(read_data("example.moore"))._key()[:-1], ("x", "y"))
+    else:
+        base = parse_substitution(read_data("fib.subst"))[0]
+    fields = dict(zip(base._fields, base._key()))
+    if value is list:  # a list, of lists for the rows and images
+        value = [list(x) if isinstance(x, tuple) else x for x in fields[name]]
+    fields[name] = value
+    if value is None and name == "input_names":
+        assert cls(**fields) == MooreMachine(*base._key()[:-1])
+    elif isinstance(value, list):  # copied into tuples: hashable, and it minimizes
+        built = cls(**fields)
+        assert built == base and hash(built) == hash(base)
+        if cls is MooreMachine:
+            assert emit_machine(minimize(built)) == emit_machine(minimize(base))
+        else:
+            assert minimize_substitution(built) == minimize_substitution(base)
+    else:
+        with pytest.raises(DomainError) as err:
+            cls(**fields)
+        assert str(err.value) == "%s must be iterable, not %r" % (name.replace("_", " "), value)
