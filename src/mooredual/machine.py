@@ -67,6 +67,16 @@ def _check_int(value, what: str):
         raise DomainError("%s must be an integer, not %r" % (what, value))
 
 
+def _check_names(names, what: str):
+    """Raise DomainError unless every name is hashable, as the duplicate
+    checks and name lookups need; the first that is not is named as ``what``."""
+    for name in names:
+        try:
+            hash(name)
+        except TypeError:
+            raise DomainError("%s %r is not hashable" % (what, name)) from None
+
+
 def _check_ordered(value, what: str):
     """Raise _check_int's DomainError if value does not compare with 0, so
     that a sign test after this one cannot raise TypeError."""
@@ -108,10 +118,12 @@ class MooreMachine(_Value):
         _check_int(q, "input count")
         if q < 1:
             raise DomainError("machine needs at least one input symbol")
+        _check_names(self.states, "state")
         if len(set(self.states)) != n:
             raise DomainError("duplicate state identifiers")
         if not self.outputs:
             raise DomainError("empty output alphabet")
+        _check_names(self.outputs, "output")
         if len(set(self.outputs)) != len(self.outputs):
             raise DomainError("duplicate output symbols")
         if len(self.transition) != n or set(map(len, self.transition)) != {q}:
@@ -132,6 +144,7 @@ class MooreMachine(_Value):
         if self.input_names is not None:
             if len(self.input_names) != q:
                 raise DomainError("expected %d input names" % q)
+            _check_names(self.input_names, "input name")
             if len(set(self.input_names)) != q:
                 raise DomainError("duplicate input names")
 
@@ -185,7 +198,7 @@ class Counterexample(_Value):
     right_output: str
 
     def __init__(self, word, left_output, right_output):
-        self._set(word, left_output, right_output)
+        self._set(_tuple(word, "word"), left_output, right_output)
         if self.left_output == self.right_output:
             raise DomainError("not a counterexample: outputs agree")
 
@@ -217,6 +230,7 @@ def validate_word(word, q: int) -> tuple[int, ...]:
 def parse_word(text: str, q: int) -> tuple[int, ...]:
     """Parse a word literal: symbols apart by commas or whitespace; for q <= 10, a digit run."""
     _check_int(q, "input count")
+    _check_text(text)
     parts = text.replace(",", " ").split()
     if len(parts) == 1 and q <= 10 and "," not in text:
         parts = parts[0]
@@ -330,22 +344,48 @@ def _trimmed(m: MooreMachine):
 
 # --- text format -------------------------------------------------------------
 
-def _cut_lines(text: str) -> list[str]:
-    """The lines of text, each cut at its first '#'; DomainError unless text is a str."""
+def _check_text(text):
+    """Raise DomainError unless text is a str."""
     if not isinstance(text, str):
         raise DomainError("text must be a str, not %s" % type(text).__name__)
+
+
+def _read_lines(text: str, header: str):
+    """The token lists of text's lines, each line cut at its first '#' (a
+    blank line's list is empty), and an iterator over the nonempty lists
+    after the first, which must be ``header`` split; DomainError unless text
+    is a str."""
+    _check_text(text)
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    return lines
+    tokens = list(map(str.split, lines))
+    rest = filter(None, tokens)
+    first = next(rest, None)
+    if first != header.split():
+        raise _numbered("expected header '%s'" % header, tokens, first)
+    return tokens, rest
 
 
-def _numbered(message, text: str, tokens: list, toks) -> ParseError:
-    """A ParseError "line N: message" for the line of toks, one of tokens,
-    the token lists of text's lines that have a token once '#...' is cut."""
-    numbers = (n for n, line in enumerate(_cut_lines(text), 1) if line.split())
-    lineno = next((n for n, t in zip(numbers, tokens) if t is toks), 1)
+def _numbered(message, tokens: list, toks) -> ParseError:
+    """A ParseError "line N: message" for the line of toks, by its position
+    among tokens, the token lists of every line (line 1 if toks is None)."""
+    lineno = next((n for n, t in enumerate(tokens, 1) if t is toks), 1)
     return ParseError("line %d: %s" % (lineno, message))
+
+
+def _declared(toks, previous, tokens: list, needs: str, item: str) -> tuple:
+    """The arguments of the once-only declaration toks, which must be
+    distinct; ParseError if ``previous`` shows it declared already, then if
+    it has no arguments or repeats one (an ``item``)."""
+    if previous is not None:
+        raise _numbered("duplicate '%s' declaration" % toks[0], tokens, toks)
+    if len(toks) == 1:
+        raise _numbered("'%s' needs %s" % (toks[0], needs), tokens, toks)
+    args = tuple(toks[1:])
+    if len(set(args)) != len(args):
+        raise _numbered("duplicate %s" % item, tokens, toks)
+    return args
 
 
 def parse_machine(text: str) -> MooreMachine:
@@ -359,10 +399,7 @@ def parse_machine(text: str) -> MooreMachine:
     missing declaration, an unknown output or initial state, the first bad
     transition line, the first missing one.
     """
-    tokens = list(filter(None, map(str.split, _cut_lines(text))))
-    lines = iter(tokens)
-    if next(lines, None) != ["moore", "v1"]:
-        raise _numbered("expected header 'moore v1'", text, tokens, tokens[0] if tokens else None)
+    tokens, lines = _read_lines(text, "moore v1")
 
     q = None
     input_names = None
@@ -377,50 +414,38 @@ def parse_machine(text: str) -> MooreMachine:
         key = toks[0]
         if key == "trans":  # most lines of a machine are transitions
             if len(toks) != 4:
-                raise _numbered("expected 'trans <id> <input> <id>'", text, tokens, toks)
+                raise _numbered("expected 'trans <id> <input> <id>'", tokens, toks)
             trans.append(toks)
         elif key == "state":
             if len(toks) != 3:
-                raise _numbered("expected 'state <id> <output>'", text, tokens, toks)
+                raise _numbered("expected 'state <id> <output>'", tokens, toks)
             name = toks[1]
             if name in state_pos:
-                raise _numbered("duplicate state %r" % name, text, tokens, toks)
+                raise _numbered("duplicate state %r" % name, tokens, toks)
             state_pos[name] = len(names)
             names.append(name)
             outs.append(toks[2])
         elif key == "inputs":
-            if q is not None:
-                raise _numbered("duplicate 'inputs' declaration", text, tokens, toks)
-            args = toks[1:]
-            if not args:
-                raise _numbered("'inputs' needs a count or names", text, tokens, toks)
+            args = _declared(toks, q, tokens, "a count or names", "input name")
             if len(args) == 1 and args[0].isdigit():
                 q = _digit_value(args[0])
                 if q is None:
-                    raise _numbered("unreadable input count", text, tokens, toks)
+                    raise _numbered("unreadable input count", tokens, toks)
             else:
-                if len(set(args)) != len(args):
-                    raise _numbered("duplicate input name", text, tokens, toks)
-                input_names = tuple(args)
+                input_names = args
                 q = len(args)
             if q < 1:
-                raise _numbered("need at least one input", text, tokens, toks)
+                raise _numbered("need at least one input", tokens, toks)
         elif key == "outputs":
-            if outputs is not None:
-                raise _numbered("duplicate 'outputs' declaration", text, tokens, toks)
-            if len(toks) == 1:
-                raise _numbered("'outputs' needs at least one symbol", text, tokens, toks)
-            outputs = tuple(toks[1:])
-            if len(set(outputs)) != len(outputs):
-                raise _numbered("duplicate output symbol", text, tokens, toks)
+            outputs = _declared(toks, outputs, tokens, "at least one symbol", "output symbol")
         elif key == "initial":
             if len(toks) != 2:
-                raise _numbered("expected 'initial <id>'", text, tokens, toks)
+                raise _numbered("expected 'initial <id>'", tokens, toks)
             if initial is not None:
-                raise _numbered("duplicate 'initial' declaration", text, tokens, toks)
+                raise _numbered("duplicate 'initial' declaration", tokens, toks)
             initial = toks
         else:
-            raise _numbered("unknown directive %r" % key, text, tokens, toks)
+            raise _numbered("unknown directive %r" % key, tokens, toks)
 
     if q is None:
         raise ParseError("missing 'inputs' declaration")
@@ -434,10 +459,10 @@ def parse_machine(text: str) -> MooreMachine:
     declared = set(outputs)
     if not declared.issuperset(outs):
         out = next(out for out in outs if out not in declared)
-        toks = next(toks for toks in tokens if toks[0] == "state" and toks[2] == out)
-        raise _numbered("unknown output token %r" % out, text, tokens, toks)
+        toks = next(toks for toks in tokens if toks[:1] == ["state"] and toks[2] == out)
+        raise _numbered("unknown output token %r" % out, tokens, toks)
     if initial[1] not in state_pos:
-        raise _numbered("unknown state %r" % initial[1], text, tokens, initial)
+        raise _numbered("unknown state %r" % initial[1], tokens, initial)
 
     # Input tokens by name, or the canonical digits of 0..q-1; other digit
     # tokens such as '01' are read by value.  Bounded by the number of
@@ -455,14 +480,14 @@ def parse_machine(text: str) -> MooreMachine:
         except KeyError:
             for name in (src, dst):
                 if name not in state_pos:
-                    raise _numbered("unknown state %r" % name, text, tokens, toks) from None
+                    raise _numbered("unknown state %r" % name, tokens, toks) from None
             j = _digit_value(inp)
             if j is None or j >= q:
-                raise _numbered("unknown input token %r" % inp, text, tokens, toks) from None
+                raise _numbered("unknown input token %r" % inp, tokens, toks) from None
             token[inp] = j
             k, t = state_pos[src] * q + j, state_pos[dst]
         if cells[k] is not None:
-            raise _numbered("duplicate transition for %s on %s" % (src, inp), text, tokens, toks)
+            raise _numbered("duplicate transition for %s on %s" % (src, inp), tokens, toks)
         cells[k] = t
 
     if nq > len(trans):

@@ -14,11 +14,14 @@ from .machine import (
     MooreMachine,
     ParseError,
     _check_int,
+    _check_names,
     _check_ordered,
+    _check_text,
     _check_tokens,
-    _cut_lines,
+    _declared,
     _machine,
     _numbered,
+    _read_lines,
     _Value,
     _tuple,
     validate_word,
@@ -61,11 +64,13 @@ class Substitution(_Value):
         n = len(self.alphabet)
         if n < 1:
             raise DomainError("substitution needs at least one letter")
+        _check_names(self.alphabet, "letter")
         pos = {a: k for k, a in enumerate(self.alphabet)}
         if len(pos) != n:
             raise DomainError("duplicate letters")
         if SINK_STATE in self.alphabet:
             raise DomainError("letter %r is reserved for the padding sink" % SINK_STATE)
+        _check_names(self.outputs, "output")
         if not self.outputs or len(set(self.outputs)) != len(self.outputs):
             raise DomainError("outputs must be nonempty and distinct")
         if SINK_OUTPUT in self.outputs:
@@ -75,6 +80,7 @@ class Substitution(_Value):
         for a, img in zip(self.alphabet, self.rules):
             if len(img) < 1:
                 raise DomainError("empty image for letter %r" % a)
+            _check_names(img, "letter")
             for b in img:
                 if b not in pos:
                     raise DomainError("rule for %r uses unknown letter %r" % (a, b))
@@ -267,6 +273,7 @@ def parse_letters(s: Substitution, text: str) -> tuple[str, ...]:
     Tokens separated by commas or any whitespace; one token alone is read
     as bare concatenation when every letter is a single character.
     """
+    _check_text(text)
     letters = text.replace(",", " ").split()
     if len(letters) == 1 and all(len(a) == 1 for a in s.alphabet):
         letters = letters[0]
@@ -665,14 +672,16 @@ def minimize_substitution(s: Substitution, pad: PaddingSpec | None = None):
 def parse_substitution(text: str):
     """Parse .subst text; returns (Substitution, PaddingSpec).
 
-    Letters without a 'pad' line get the default trailing padding.  As in
-    ``parse_machine``, one pass over the lines' tokens keeps each line's
-    tokens, and lines are numbered only for the line an error names.
+    Letters without a 'pad' line get the default trailing padding.  The
+    lines are read as ``parse_machine`` reads them, by the same line reader:
+    one pass over their tokens keeps each directive's tokens, and a line is
+    numbered, by the position of its tokens, only when an error names it.
+    Errors come in a fixed order: the first malformed line, a missing
+    declaration, the first bad rule, a missing rule, the first bad 'out'
+    line, a missing one, an unknown initial letter, a 'pad' line for an
+    undeclared letter, then the templates in letter order.
     """
-    tokens = list(filter(None, map(str.split, _cut_lines(text))))
-    lines = iter(tokens)
-    if next(lines, None) != ["subst", "v1"]:
-        raise _numbered("expected header 'subst v1'", text, tokens, tokens[0] if tokens else None)
+    tokens, lines = _read_lines(text, "subst v1")
 
     letters = None
     outputs = None
@@ -684,53 +693,41 @@ def parse_substitution(text: str):
     for toks in lines:
         key, args = toks[0], toks[1:]
         if key == "letters":
-            if letters is not None:
-                raise _numbered("duplicate 'letters' declaration", text, tokens, toks)
-            if not args:
-                raise _numbered("'letters' needs at least one id", text, tokens, toks)
-            if len(set(args)) != len(args):
-                raise _numbered("duplicate letter", text, tokens, toks)
-            if SINK_STATE in args:
+            letters = _declared(toks, letters, tokens, "at least one id", "letter")
+            if SINK_STATE in letters:
                 raise _numbered("letter %r is reserved for the padding sink" % SINK_STATE,
-                                text, tokens, toks)
-            letters = tuple(args)
+                                tokens, toks)
         elif key == "outputs":
-            if outputs is not None:
-                raise _numbered("duplicate 'outputs' declaration", text, tokens, toks)
-            if not args:
-                raise _numbered("'outputs' needs at least one symbol", text, tokens, toks)
-            if len(set(args)) != len(args):
-                raise _numbered("duplicate output symbol", text, tokens, toks)
-            if SINK_OUTPUT in args:
+            outputs = _declared(toks, outputs, tokens, "at least one symbol", "output symbol")
+            if SINK_OUTPUT in outputs:
                 raise _numbered("output %r is reserved for the padding sink" % SINK_OUTPUT,
-                                text, tokens, toks)
-            outputs = tuple(args)
+                                tokens, toks)
         elif key == "initial":
             if len(args) != 1:
-                raise _numbered("expected 'initial <id>'", text, tokens, toks)
+                raise _numbered("expected 'initial <id>'", tokens, toks)
             if initial is not None:
-                raise _numbered("duplicate 'initial' declaration", text, tokens, toks)
+                raise _numbered("duplicate 'initial' declaration", tokens, toks)
             initial = toks
         elif key == "rule":
             if len(args) < 3 or args[1] != "->":
-                raise _numbered("expected 'rule <id> -> <id> ...'", text, tokens, toks)
+                raise _numbered("expected 'rule <id> -> <id> ...'", tokens, toks)
             if args[0] in rules:
-                raise _numbered("duplicate rule for %r" % args[0], text, tokens, toks)
+                raise _numbered("duplicate rule for %r" % args[0], tokens, toks)
             rules[args[0]] = toks
         elif key == "out":
             if len(args) != 2:
-                raise _numbered("expected 'out <id> <sym>'", text, tokens, toks)
+                raise _numbered("expected 'out <id> <sym>'", tokens, toks)
             if args[0] in outs:
-                raise _numbered("duplicate 'out' for %r" % args[0], text, tokens, toks)
+                raise _numbered("duplicate 'out' for %r" % args[0], tokens, toks)
             outs[args[0]] = toks
         elif key == "pad":
             if len(args) < 2:
-                raise _numbered("expected 'pad <id> <template>'", text, tokens, toks)
+                raise _numbered("expected 'pad <id> <template>'", tokens, toks)
             if args[0] in pads:
-                raise _numbered("duplicate 'pad' for %r" % args[0], text, tokens, toks)
+                raise _numbered("duplicate 'pad' for %r" % args[0], tokens, toks)
             pads[args[0]] = toks
         else:
-            raise _numbered("unknown directive %r" % key, text, tokens, toks)
+            raise _numbered("unknown directive %r" % key, tokens, toks)
 
     if letters is None:
         raise ParseError("missing 'letters' declaration")
@@ -742,29 +739,29 @@ def parse_substitution(text: str):
     member = set(letters)
     for name, toks in rules.items():
         if name not in member:
-            raise _numbered("rule for undeclared letter %r" % name, text, tokens, toks)
+            raise _numbered("rule for undeclared letter %r" % name, tokens, toks)
         for b in toks[3:]:
             if b not in member:
-                raise _numbered("rule uses undeclared letter %r" % b, text, tokens, toks)
+                raise _numbered("rule uses undeclared letter %r" % b, tokens, toks)
     for a in letters:
         if a not in rules:
             raise ParseError("missing rule for letter %r" % a)
     for name, toks in outs.items():
         if name not in member:
-            raise _numbered("'out' for undeclared letter %r" % name, text, tokens, toks)
+            raise _numbered("'out' for undeclared letter %r" % name, tokens, toks)
         if toks[2] not in outputs:
-            raise _numbered("unknown output token %r" % toks[2], text, tokens, toks)
+            raise _numbered("unknown output token %r" % toks[2], tokens, toks)
     for a in letters:
         if a not in outs:
             raise ParseError("missing 'out' line for letter %r" % a)
     if initial[1] not in member:
-        raise _numbered("unknown letter %r" % initial[1], text, tokens, initial)
+        raise _numbered("unknown letter %r" % initial[1], tokens, initial)
 
     s = Substitution(letters, [rules[a][3:] for a in letters], outputs,
                      [outs[a][2] for a in letters], letters.index(initial[1]))
     for name, toks in pads.items():
         if name not in member:
-            raise _numbered("'pad' for undeclared letter %r" % name, text, tokens, toks)
+            raise _numbered("'pad' for undeclared letter %r" % name, tokens, toks)
     templates = list(PaddingSpec.default(s).templates)
     for k, a in enumerate(letters):  # the default templates fit; check the others
         if a in pads:
@@ -775,7 +772,7 @@ def parse_substitution(text: str):
             try:
                 _check_template(a, s.rules[k], tpl, s.q)
             except DomainError as e:
-                raise _numbered(str(e), text, tokens, pads[a]) from None
+                raise _numbered(str(e), tokens, pads[a]) from None
             templates[k] = tpl
     return s, PaddingSpec(tuple(templates))
 

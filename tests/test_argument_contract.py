@@ -7,9 +7,9 @@ import pytest
 
 from mooredual.cli import run_cli
 from mooredual.machine import (Counterexample, DomainError, MooreMachine, emit_machine,
-                               parse_machine)
-from mooredual.substitution import (PaddingSpec, Substitution, parse_substitution,
-                                    to_padded_machine)
+                               parse_machine, parse_word)
+from mooredual.substitution import (PaddingSpec, Substitution, parse_letters,
+                                    parse_substitution, to_padded_machine)
 
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
@@ -33,6 +33,10 @@ MACHINE_ERRORS = [
     ({"initial": 2}, "initial state out of range"),
     ({"input_names": ("x",)}, "expected 2 input names"),
     ({"transition": ((1, 0), 5)}, "transition row must be iterable, not 5"),
+    # a name is looked up by its hash
+    ({"states": (["a"], "b")}, "state ['a'] is not hashable"),
+    ({"outputs": ("0", {"1"})}, "output {'1'} is not hashable"),
+    ({"input_names": ("x", ["y"])}, "input name ['y'] is not hashable"),
 ]
 
 
@@ -58,6 +62,10 @@ SUBST_ERRORS = [
     ({"projection": ("0", "2")}, "projection value '2' not declared"),
     ({"initial": 2}, "initial letter out of range"),
     ({"rules": (("a", "b"), 5)}, "image must be iterable, not 5"),
+    # a name is looked up by its hash
+    ({"alphabet": ("a", ["b"])}, "letter ['b'] is not hashable"),
+    ({"outputs": (["0"], "1")}, "output ['0'] is not hashable"),
+    ({"rules": (("a", ["b"]), ("a",))}, "letter ['b'] is not hashable"),
 ]
 
 
@@ -72,6 +80,15 @@ def test_counterexample_outputs_must_differ():
     with pytest.raises(DomainError) as err:
         Counterexample((0,), "1", "1")
     assert str(err.value) == "not a counterexample: outputs agree"
+
+
+def test_counterexample_copies_its_word():
+    c = Counterexample([0, 1], "0", "1")
+    assert c.word == (0, 1)
+    assert hash(c) == hash(Counterexample((0, 1), "0", "1"))
+    with pytest.raises(DomainError) as err:
+        Counterexample(None, "0", "1")
+    assert str(err.value) == "word must be iterable, not None"
 
 
 # (padding, the exact DomainError message of to_padded_machine on SUBST)
@@ -98,6 +115,10 @@ TEXT_ERRORS = [
     (lambda: parse_machine(b"moore v1\n"), "text must be a str, not bytes"),
     (lambda: parse_substitution(None), "text must be a str, not NoneType"),
     (lambda: parse_substitution(b"subst v1\n"), "text must be a str, not bytes"),
+    (lambda: parse_word(None, 2), "text must be a str, not NoneType"),
+    (lambda: parse_word(b"01", 2), "text must be a str, not bytes"),
+    (lambda: parse_letters(Substitution(**SUBST), None), "text must be a str, not NoneType"),
+    (lambda: parse_letters(Substitution(**SUBST), b"ab"), "text must be a str, not bytes"),
     (lambda: emit_machine(MooreMachine(**MACHINE), vectors=[("0",)]),
      "expected 2 vectors, one per state, not 1"),
     (lambda: emit_machine(MooreMachine(**MACHINE), vectors=[("0",)] * 3),

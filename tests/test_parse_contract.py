@@ -502,7 +502,8 @@ def subst_texts_with_one_bad_line(draw):
     q, a = s.q, draw(letter)
     kinds = ["letters", "outputs", "initial", "rule", "out", "pad", "directive",
              "duplicate rule", "duplicate out", "undeclared rule", "undeclared out",
-             "undeclared pad", "undeclared image letter", "unknown output", "bad template"]
+             "undeclared pad", "undeclared image letter", "unknown output", "unknown initial",
+             "bad template"]
     if any(line.startswith("pad ") for line in lines):
         kinds.append("duplicate pad")
     kind = draw(st.sampled_from(kinds))
@@ -534,6 +535,9 @@ def subst_texts_with_one_bad_line(draw):
     elif kind == "unknown output":
         lines.remove("out %s %s" % (a, s.projection[s.letter_index(a)]))
         bad = "out %s 2" % a
+    elif kind == "unknown initial":
+        lines.remove("initial %s" % s.alphabet[s.initial])
+        bad = "initial z"
     else:
         lines = [line for line in lines if not line.startswith("pad %s " % a)]
         bad = "pad %s %s" % (a, draw(st.sampled_from([
