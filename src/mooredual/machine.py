@@ -68,13 +68,11 @@ def _check_int(value, what: str):
 
 
 def _check_names(names, what: str):
-    """Raise DomainError unless every name is hashable, as the duplicate
-    checks and name lookups need; the first that is not is named as ``what``."""
+    """Raise DomainError unless every name is a str; the first that is not
+    is named as ``what``."""
     for name in names:
-        try:
-            hash(name)
-        except TypeError:
-            raise DomainError("%s %r is not hashable" % (what, name)) from None
+        if not isinstance(name, str):
+            raise DomainError("%s must be a str, not %r" % (what, name))
 
 
 def _check_ordered(value, what: str):
@@ -89,10 +87,10 @@ def _check_ordered(value, what: str):
 class MooreMachine(_Value):
     """A deterministic machine: states, inputs 0..q-1, outputs, delta, lambda, initial.
 
-    States are opaque name tokens; their positions in ``states`` are the
-    indices used by ``transition``, ``output_map`` and ``initial``.  The
-    constructor copies the sequence fields into tuples, so instances are
-    immutable and hashable and can be shared freely.
+    States, outputs and input names are strings; the positions of states in
+    ``states`` are the indices used by ``transition``, ``output_map`` and
+    ``initial``.  The constructor copies the sequence fields into tuples, so
+    instances are immutable and hashable and can be shared freely.
     """
 
     __slots__ = _fields = ("states", "input_count", "outputs", "transition", "output_map",
@@ -199,6 +197,9 @@ class Counterexample(_Value):
 
     def __init__(self, word, left_output, right_output):
         self._set(_tuple(word, "word"), left_output, right_output)
+        for j in self.word:
+            _check_int(j, "input symbol")
+        _check_names((left_output, right_output), "output")
         if self.left_output == self.right_output:
             raise DomainError("not a counterexample: outputs agree")
 
@@ -513,7 +514,7 @@ def _check_tokens(tokens):
     """Raise DomainError unless every name reads back as one token: nonempty,
     with no whitespace (line breaks included) and no '#'."""
     text = "".join(tokens)
-    if "#" in text or "" in tokens or text.split() != [text]:
+    if tokens and ("#" in text or "" in tokens or text.split() != [text]):
         bad = next(t for t in tokens if "#" in t or t.split() != [t])
         raise DomainError("name %r would not read back as one token" % (bad,))
 
@@ -523,7 +524,7 @@ def emit_machine(m: MooreMachine, vectors=None) -> str:
 
     Given ``vectors`` (one output vector per state, as ``dual_with_vectors``
     returns them), each state line gets its vector as a '# vector:' comment.
-    A name that would not read back as itself is a DomainError.
+    A name or vector entry that would not read back as itself is a DomainError.
     """
     _check_machine(m)
     _check_tokens(m.states + m.outputs + (m.input_names or ()))
@@ -537,9 +538,12 @@ def emit_machine(m: MooreMachine, vectors=None) -> str:
     lines.append("outputs " + " ".join(m.outputs))
     states = m.states
     if vectors:
-        vectors = _tuple(vectors, "vectors")
+        vectors = [_tuple(vector, "vector") for vector in _tuple(vectors, "vectors")]
         if len(vectors) != m.n:
             raise DomainError("expected %d vectors, one per state, not %d" % (m.n, len(vectors)))
+        entries = [x for vector in vectors for x in vector]
+        _check_names(entries, "vector entry")
+        _check_tokens(entries)
         for name, out, vector in zip(states, m.output_map, vectors):
             lines.append("state %s %s  # vector: %s" % (name, out, " ".join(vector)))
     else:

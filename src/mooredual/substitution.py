@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import accumulate, islice
 
 from .equivalence import minimize
@@ -14,6 +13,7 @@ from .machine import (
     MooreMachine,
     ParseError,
     _check_int,
+    _check_machine,
     _check_names,
     _check_ordered,
     _check_text,
@@ -38,14 +38,14 @@ class Substitution(_Value):
     """A free-monoid endomorphism with an output projection and a start letter.
 
     ``rules[k]`` is the image word of ``alphabet[k]``; images are nonempty.
-    The constructor copies the sequence fields into tuples.
+    Letters and outputs are strings.  The constructor copies the sequence
+    fields into tuples.
     ``q`` is the longest image length, the input base of the associated
     machine.  Besides ``q``, each instance carries index data that equality,
     hashing and repr ignore: the index of each letter name, the rules as
     letter indices, whether every image has length q, the block table (a
     ``_BlockTable``), built by the first ``letter_at`` or ``letter_at_constant``,
-    and the last padding ``letter_at`` checked in full whose templates are
-    tuples of strings, which cannot change.
+    and the last padding ``letter_at`` checked in full.
     """
 
     _fields = ("alphabet", "rules", "outputs", "projection", "initial")
@@ -200,8 +200,9 @@ class PaddingSpec(_Value):
     """Where the padding positions sit in each image brought up to length q.
 
     One template per letter, tokens SLOT/OMEGA; slots, read left to right,
-    receive the letters of the image in order.  Building one checks nothing:
-    every function that takes a padding checks it against its substitution by
+    receive the letters of the image in order.  The constructor copies the
+    templates into tuples and checks that every token is a str; every
+    function that takes a padding checks it against its substitution by
     ``validate``, except that ``letter_at`` skips the one the substitution
     remembers (see there).
     """
@@ -210,28 +211,20 @@ class PaddingSpec(_Value):
     templates: tuple[tuple[str, ...], ...]
 
     def __init__(self, templates):
-        self._set(templates)
+        self._set(tuple([_tuple(tpl, "template") for tpl in _tuple(templates, "templates")]))
+        for tpl in self.templates:
+            _check_names(tpl, "template token")
 
     @classmethod
     def default(cls, s: Substitution) -> "PaddingSpec":
         """Trailing padding: image letters first, padding after."""
-        q = s.q
-        return cls(
-            tuple(
-                tuple([SLOT] * len(img) + [OMEGA] * (q - len(img))) for img in s.rules
-            )
-        )
+        return cls([[SLOT] * len(img) + [OMEGA] * (s.q - len(img)) for img in s.rules])
 
     def validate(self, s: Substitution):
         """Raise DomainError unless every template pads its letter's image to length q."""
-        # kept as given and read more than once, so sequences, not just iterables
-        if not isinstance(self.templates, Sequence):
-            raise DomainError("padding templates must be a sequence, not %r" % (self.templates,))
         if len(self.templates) != len(s.alphabet):
             raise DomainError("need one padding template per letter")
         for a, img, tpl in zip(s.alphabet, s.rules, self.templates):
-            if not isinstance(tpl, Sequence):
-                raise DomainError("template for %r must be a sequence, not %r" % (a, tpl))
             _check_template(a, img, tpl, s.q)
 
 
@@ -246,7 +239,7 @@ def _check_template(a, img, tpl, q: int):
     """Raise DomainError unless tpl pads the image img of letter a to length q."""
     if len(tpl) != q:
         raise DomainError("template for %r must have length %d" % (a, q))
-    slots = tpl.count(SLOT)  # counts compare like ``in``, and need no hashing
+    slots = tpl.count(SLOT)
     if slots + tpl.count(OMEGA) != q:
         tok = next(tok for tok in tpl if tok not in (SLOT, OMEGA))
         raise DomainError("bad template token %r for %r" % (tok, a))
@@ -255,14 +248,17 @@ def _check_template(a, img, tpl, q: int):
 
 
 class PaddedMachine(_Value):
-    """The machine of a substitution over its alphabet plus an absorbing sink."""
+    """The machine of a substitution over its alphabet plus an absorbing sink,
+    whose state index is ``sink``."""
 
     __slots__ = _fields = ("machine", "sink")
     machine: MooreMachine
     sink: int
 
     def __init__(self, machine, sink):
-        self._set(machine, sink)
+        _check_machine(machine)
+        _check_int(sink, "sink")
+        self._set(machine, machine.state_index(sink))
 
 
 # --- letter words -----------------------------------------------------------
@@ -283,6 +279,11 @@ def parse_letters(s: Substitution, text: str) -> tuple[str, ...]:
 
 
 def format_letters(s: Substitution, letters) -> str:
+    """The literal parse_letters reads back as the word of letter names."""
+    letters = _tuple(letters, "word")
+    for a in letters:
+        if not isinstance(a, str) or a not in s._positions:
+            raise DomainError("unknown letter %r" % (a,))
     if all(len(a) == 1 for a in s.alphabet):
         return "".join(letters)
     return " ".join(letters)
@@ -544,6 +545,8 @@ def psi(pm: PaddedMachine, n: int):
     in O(L * |A| * q) for L digits; no rank is unreachable unless the language
     is finite.
     """
+    if not isinstance(pm, PaddedMachine):
+        raise DomainError("expected a PaddedMachine, not %r" % (pm,))
     _check_ordered(n, "rank")
     if n < 0:
         raise DomainError("negative rank")
@@ -590,8 +593,7 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
     checks the fixed point, that k and j compare with 0, their signs, then
     that both are ints (a bool is one).
     A padding is checked in full, and that digit 0 fixes the start letter,
-    unless it is the one the substitution remembers: the last that passed
-    whose templates are tuples of strings, which cannot change.
+    unless it is the one the substitution remembers: the last that passed.
     """
     blocks = s._block_table or s._blocks()
     if j.__class__ is int is k.__class__ and 0 <= k and 0 <= j < (
@@ -622,12 +624,9 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
         letter = blocks.words[state][rank]
     if pad is not s._checked_pad and pad is not None:
         _check_padding(pad, s)
-        templates = pad.templates
-        if templates[s.initial][0] != SLOT:
+        if pad.templates[s.initial][0] != SLOT:
             raise DomainError("numeration needs digit 0 to fix the initial letter")
-        if type(templates) is tuple and all(
-                type(tpl) is tuple and all(type(tok) is str for tok in tpl) for tpl in templates):
-            object.__setattr__(s, "_checked_pad", pad)
+        object.__setattr__(s, "_checked_pad", pad)
     return letter
 
 
@@ -768,13 +767,12 @@ def parse_substitution(text: str):
             tpl = pads[a][2:]
             if len(tpl) == 1 and len(tpl[0]) > 1:
                 tpl = tpl[0]  # compact form, e.g. "_w_"
-            tpl = tuple(tpl)
             try:
                 _check_template(a, s.rules[k], tpl, s.q)
             except DomainError as e:
                 raise _numbered(str(e), tokens, pads[a]) from None
             templates[k] = tpl
-    return s, PaddingSpec(tuple(templates))
+    return s, PaddingSpec(templates)
 
 
 def emit_substitution(s: Substitution, pad: PaddingSpec | None = None) -> str:

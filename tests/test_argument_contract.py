@@ -1,6 +1,6 @@
 """The argument contracts outside the parsers: every DomainError branch of the
-MooreMachine, Substitution and Counterexample constructors and of the padding
-and text-layer checks, each with its exact message, as test_parse_contract.py
+MooreMachine, Substitution, Counterexample, PaddingSpec and PaddedMachine
+constructors and of the padding and text-layer checks, each with its exact message, as test_parse_contract.py
 pins the parsers' ParseErrors; and the two CLI paths no other test takes."""
 
 import pytest
@@ -8,8 +8,8 @@ import pytest
 from mooredual.cli import run_cli
 from mooredual.machine import (Counterexample, DomainError, MooreMachine, emit_machine,
                                parse_machine, parse_word)
-from mooredual.substitution import (PaddingSpec, Substitution, parse_letters,
-                                    parse_substitution, to_padded_machine)
+from mooredual.substitution import (PaddedMachine, PaddingSpec, Substitution, format_letters,
+                                    parse_letters, parse_substitution, psi, to_padded_machine)
 
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
@@ -33,10 +33,13 @@ MACHINE_ERRORS = [
     ({"initial": 2}, "initial state out of range"),
     ({"input_names": ("x",)}, "expected 2 input names"),
     ({"transition": ((1, 0), 5)}, "transition row must be iterable, not 5"),
-    # a name is looked up by its hash
-    ({"states": (["a"], "b")}, "state ['a'] is not hashable"),
-    ({"outputs": ("0", {"1"})}, "output {'1'} is not hashable"),
-    ({"input_names": ("x", ["y"])}, "input name ['y'] is not hashable"),
+    # a name is a str
+    ({"states": (["a"], "b")}, "state must be a str, not ['a']"),
+    ({"states": (1, 2)}, "state must be a str, not 1"),
+    ({"outputs": ("0", {"1"})}, "output must be a str, not {'1'}"),
+    ({"outputs": ("0", 1)}, "output must be a str, not 1"),
+    ({"input_names": ("x", ["y"])}, "input name must be a str, not ['y']"),
+    ({"input_names": ("x", b"y")}, "input name must be a str, not b'y'"),
 ]
 
 
@@ -62,10 +65,13 @@ SUBST_ERRORS = [
     ({"projection": ("0", "2")}, "projection value '2' not declared"),
     ({"initial": 2}, "initial letter out of range"),
     ({"rules": (("a", "b"), 5)}, "image must be iterable, not 5"),
-    # a name is looked up by its hash
-    ({"alphabet": ("a", ["b"])}, "letter ['b'] is not hashable"),
-    ({"outputs": (["0"], "1")}, "output ['0'] is not hashable"),
-    ({"rules": (("a", ["b"]), ("a",))}, "letter ['b'] is not hashable"),
+    # a name is a str
+    ({"alphabet": ("a", ["b"])}, "letter must be a str, not ['b']"),
+    ({"alphabet": (1, 2)}, "letter must be a str, not 1"),
+    ({"outputs": (["0"], "1")}, "output must be a str, not ['0']"),
+    ({"outputs": ("0", 1)}, "output must be a str, not 1"),
+    ({"rules": (("a", ["b"]), ("a",))}, "letter must be a str, not ['b']"),
+    ({"rules": (("a", 1), ("a",))}, "letter must be a str, not 1"),
 ]
 
 
@@ -76,10 +82,17 @@ def test_substitution_constructor_messages(changes, message):
     assert str(err.value) == message
 
 
-def test_counterexample_outputs_must_differ():
+@pytest.mark.parametrize("fields, message", [
+    (((0,), "1", "1"), "not a counterexample: outputs agree"),
+    (((0,), 1, "1"), "output must be a str, not 1"),
+    (((0,), "0", ["1"]), "output must be a str, not ['1']"),
+    (((0, [1]), "0", "1"), "input symbol must be an integer, not [1]"),
+    (((0, "1"), "0", "1"), "input symbol must be an integer, not '1'"),
+])
+def test_counterexample_constructor_messages(fields, message):
     with pytest.raises(DomainError) as err:
-        Counterexample((0,), "1", "1")
-    assert str(err.value) == "not a counterexample: outputs agree"
+        Counterexample(*fields)
+    assert str(err.value) == message
 
 
 def test_counterexample_copies_its_word():
@@ -95,10 +108,7 @@ def test_counterexample_copies_its_word():
 PADDING_ERRORS = [
     (5, "expected a PaddingSpec, not 5"),
     ((("_", "_"), ("_", "w")), "expected a PaddingSpec, not (('_', '_'), ('_', 'w'))"),
-    (PaddingSpec(None), "padding templates must be a sequence, not None"),
-    (PaddingSpec((("_", "_"), None)), "template for 'b' must be a sequence, not None"),
-    (PaddingSpec((("_", "_"), {"_": "w"})),
-     "template for 'b' must be a sequence, not {'_': 'w'}"),
+    (PaddingSpec((("_", "_"),)), "need one padding template per letter"),
 ]
 
 
@@ -107,6 +117,48 @@ def test_padding_messages(pad, message):
     with pytest.raises(DomainError) as err:
         to_padded_machine(Substitution(**SUBST), pad)
     assert str(err.value) == message
+
+
+# (templates, the exact DomainError message of the PaddingSpec constructor)
+PADDING_SPEC_ERRORS = [
+    (None, "templates must be iterable, not None"),
+    (5, "templates must be iterable, not 5"),
+    ((("_", "_"), None), "template must be iterable, not None"),
+    ((5, 5), "template must be iterable, not 5"),
+    ((("_", "_"), ("_", [])), "template token must be a str, not []"),
+    ((("_", "_"), ("_", 0)), "template token must be a str, not 0"),
+]
+
+
+@pytest.mark.parametrize("templates, message", PADDING_SPEC_ERRORS)
+def test_padding_spec_constructor_messages(templates, message):
+    with pytest.raises(DomainError) as err:
+        PaddingSpec(templates)
+    assert str(err.value) == message
+
+
+# (machine, sink, the exact DomainError message of the PaddedMachine constructor)
+PADDED_MACHINE_ERRORS = [
+    (None, 0, "expected a MooreMachine, not None"),
+    (MooreMachine(**MACHINE), None, "sink must be an integer, not None"),
+    (MooreMachine(**MACHINE), "b", "sink must be an integer, not 'b'"),
+    (MooreMachine(**MACHINE), 2, "state index 2 out of range"),
+    (MooreMachine(**MACHINE), -1, "state index -1 out of range"),
+]
+
+
+@pytest.mark.parametrize("machine, sink, message", PADDED_MACHINE_ERRORS)
+def test_padded_machine_constructor_messages(machine, sink, message):
+    with pytest.raises(DomainError) as err:
+        PaddedMachine(machine, sink)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pm", [5, None, MooreMachine(**MACHINE)])
+def test_psi_takes_a_padded_machine(pm):
+    with pytest.raises(DomainError) as err:
+        psi(pm, 0)
+    assert str(err.value) == "expected a PaddedMachine, not %r" % (pm,)
 
 
 # (call, the exact DomainError message)
@@ -125,6 +177,17 @@ TEXT_ERRORS = [
      "expected 2 vectors, one per state, not 3"),
     (lambda: emit_machine(MooreMachine(**MACHINE), vectors=5),
      "vectors must be iterable, not 5"),
+    (lambda: emit_machine(MooreMachine(**MACHINE), vectors=[5, 5, 5]),
+     "vector must be iterable, not 5"),
+    (lambda: emit_machine(MooreMachine(**MACHINE), vectors=[("0",), (1,)]),
+     "vector entry must be a str, not 1"),
+    # a vector entry that would write a line of its own
+    (lambda: emit_machine(MooreMachine(**MACHINE), vectors=[("0",), ("0\nstate x 1",)]),
+     "name '0\\nstate x 1' would not read back as one token"),
+    (lambda: format_letters(Substitution(**SUBST), 5), "word must be iterable, not 5"),
+    (lambda: format_letters(Substitution(**SUBST), [1]), "unknown letter 1"),
+    (lambda: format_letters(Substitution(**SUBST), ["a", "c"]), "unknown letter 'c'"),
+    (lambda: format_letters(Substitution(**SUBST), ["a", ["b"]]), "unknown letter ['b']"),
 ]
 
 
@@ -133,6 +196,13 @@ def test_text_layer_messages(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_emitted_vectors_read_back():
+    # vectors of lists, or of no entries, are comments like any other
+    m = MooreMachine(**MACHINE)
+    for vectors in ([["0", "1"], ["1", "1"]], [(), ()]):
+        assert parse_machine(emit_machine(m, vectors=vectors)) == m
 
 
 def test_run_cli_without_a_tool_is_a_usage_error(capsys):

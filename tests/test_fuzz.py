@@ -253,8 +253,9 @@ PADDING_CALLS = {
 }
 
 NOT_PADDINGS = NOT_PLAIN_INTS + [
-    PaddingSpec(None), PaddingSpec(5), PaddingSpec((5, 5)), PaddingSpec((("_", "_"), {"_"})),
-    PaddingSpec({("_", "_"): 0, ("_", "w"): 1}), (("_", "_"), ("_", "w")),
+    PaddingSpec(()), PaddingSpec((("_", "_"),)), PaddingSpec((("_", "_"), {"_"})),
+    PaddingSpec((("_", "_"), ("_", "x"))), PaddingSpec((("w", "_"), ("_", "w"))),
+    (("_", "_"), ("_", "w")),
 ]
 
 
@@ -264,7 +265,7 @@ def test_numeration_padding_parameters(call, value):
     outcome = numeration_outcome(PADDING_CALLS[call], value)
     if value is None:  # the default padding
         assert outcome[0] == "value"
-    else:  # only a PaddingSpec of sequences is a padding
+    else:  # only a PaddingSpec that fits the substitution is a padding
         assert outcome[0] == "DomainError"
 
 
@@ -309,21 +310,24 @@ def test_machine_integer_parameters(call, value):
         assert outcome[0] == "DomainError"
 
 
-# each sequence field of the two constructors, with its rows or images
+# each sequence field of the three constructors that copy them, with its
+# rows, images or templates
 SEQUENCE_FIELDS = [(MooreMachine, name) for name in
                    ("states", "outputs", "transition", "output_map", "input_names")]
 SEQUENCE_FIELDS += [(Substitution, name) for name in
                     ("alphabet", "rules", "outputs", "projection")]
+SEQUENCE_FIELDS += [(PaddingSpec, "templates")]
 
 
 @pytest.mark.parametrize("value", [None, 5, list], ids=["None", "5", "list"])
 @pytest.mark.parametrize("cls, name", SEQUENCE_FIELDS,
                          ids=["%s %s" % (cls.__name__, name) for cls, name in SEQUENCE_FIELDS])
 def test_constructor_sequence_fields(cls, name, value):
+    fib, pad = parse_substitution(read_data("fib.subst"))
     if cls is MooreMachine:
         base = MooreMachine(*parse_machine(read_data("example.moore"))._key()[:-1], ("x", "y"))
     else:
-        base = parse_substitution(read_data("fib.subst"))[0]
+        base = fib if cls is Substitution else pad
     fields = dict(zip(base._fields, base._key()))
     if value is list:  # a list, of lists for the rows and images
         value = [list(x) if isinstance(x, tuple) else x for x in fields[name]]
@@ -335,8 +339,10 @@ def test_constructor_sequence_fields(cls, name, value):
         assert built == base and hash(built) == hash(base)
         if cls is MooreMachine:
             assert emit_machine(minimize(built)) == emit_machine(minimize(base))
-        else:
+        elif cls is Substitution:
             assert minimize_substitution(built) == minimize_substitution(base)
+        else:
+            assert to_padded_machine(fib, built) == to_padded_machine(fib, base)
     else:
         with pytest.raises(DomainError) as err:
             cls(**fields)

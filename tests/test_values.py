@@ -4,6 +4,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mooredual import (
     Counterexample,
@@ -13,16 +14,20 @@ from mooredual import (
     PaddingSpec,
     Substitution,
     apply,
+    emit_machine,
+    emit_substitution,
     format_word,
     letter_at,
     letter_at_constant,
     parse_word,
     phi,
     psi,
+    to_dot,
     to_padded_machine,
 )
-from mooredual.equivalence import states_equivalent
-from mooredual.machine import left_action, right_action, run_right
+from mooredual.equivalence import product, states_equivalent
+from mooredual.machine import _Value, left_action, right_action, run_right
+from mooredual.substitution import format_letters
 
 from conftest import run_fresh
 
@@ -86,6 +91,24 @@ def test_equal_values_hash_equal_and_differ_from_tuples(cls):
     assert value != as_tuple and as_tuple != value
     assert value.__eq__(as_tuple) is NotImplemented
     assert {value: 1}[other] == 1
+
+
+def as_lists(value):
+    """value with every tuple in it a list, and every value class built again
+    from fields so converted."""
+    if isinstance(value, _Value):
+        return type(value)(*map(as_lists, value._key()))
+    if isinstance(value, tuple):
+        return list(map(as_lists, value))
+    return value
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_list_built_values_equal_their_tuple_built_twins(cls):
+    value, fields = make(cls)
+    twin = cls(**{name: as_lists(field) for name, field in fields.items()})
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == REPRS[cls]
+    assert {value: 1}[twin] == 1
 
 
 def test_a_field_changes_equality():
@@ -294,3 +317,70 @@ def test_bools_are_integers():
     assert substitution(initial=False) == substitution()
     with pytest.raises(DomainError, match="out of range"):
         MooreMachine(**dict(MACHINE, transition=((2, 0), (0, 1))))
+
+
+# --- names ------------------------------------------------------------------
+
+# hashable or not, none of these is a name
+NOT_STR = st.one_of(st.integers(-1, 2), st.none(), st.binary(max_size=2),
+                    st.tuples(st.text(max_size=1)), st.lists(st.text(max_size=1), max_size=1))
+NAME = st.sampled_from("ab01") | st.text(max_size=3)
+
+
+@st.composite
+def names(draw, count, text=NAME):
+    """count names drawn from text, one of them perhaps replaced by a value
+    that is not a str; and whether one was."""
+    drawn = draw(st.lists(text, min_size=count, max_size=count))
+    odd = draw(st.none() | st.integers(0, count - 1))
+    if odd is not None:
+        drawn[odd] = draw(NOT_STR)
+    return drawn, odd is not None
+
+
+def check_names(build, odd, *uses):
+    """build() raises DomainError, as it must when a name is not a str, or
+    its value hashes and goes through every use raising nothing but
+    DomainError."""
+    try:
+        value = build()
+    except DomainError:
+        return
+    assert not odd, "built with a name that is not a str: %r" % (value,)
+    hash(value)
+    for use in uses:
+        try:
+            use(value)
+        except DomainError:
+            pass
+
+
+@given(names(6))
+def test_machine_names_are_strings(drawn):
+    (s0, s1, o0, o1, x, y), odd = drawn
+    check_names(lambda: MooreMachine((s0, s1), 2, (o0, o1), ((1, 0), (0, 1)), (o0, o1), 0,
+                                     (x, y)),
+                odd, emit_machine, to_dot, lambda m: emit_machine(product(m, m)),
+                lambda m: to_dot(product(m, m, "first")))
+
+
+@given(names(5))
+def test_substitution_names_are_strings(drawn):
+    (a, b, o0, o1, image_letter), odd = drawn
+    check_names(lambda: Substitution((a, b), ((a, image_letter), (a,)), (o0, o1), (o0, o1), 0),
+                odd, emit_substitution, lambda s: format_letters(s, s.alphabet),
+                lambda s: emit_substitution(s, PaddingSpec.default(s)))
+
+
+@given(names(2))
+def test_counterexample_outputs_are_strings(drawn):
+    (left, right), odd = drawn
+    check_names(lambda: Counterexample((0, 1), left, right), odd, repr)
+
+
+@given(names(4, st.sampled_from("_w") | st.text(max_size=2)))
+def test_template_tokens_are_strings(drawn):
+    (t0, t1, t2, t3), odd = drawn
+    check_names(lambda: PaddingSpec(((t0, t1), (t2, t3))), odd,
+                lambda pad: emit_substitution(substitution(), pad),
+                lambda pad: to_padded_machine(substitution(), pad))
