@@ -67,12 +67,30 @@ def _check_int(value, what: str):
         raise DomainError("%s must be an integer, not %r" % (what, value))
 
 
-def _check_names(names, what: str):
+def _check_names(names, what: str, duplicates: str | None = None):
     """Raise DomainError unless every name is a str; the first that is not
-    is named as ``what``."""
+    is named as ``what``.  With ``duplicates``, the names must also be
+    distinct, and ``duplicates`` is the message when they are not."""
     for name in names:
         if not isinstance(name, str):
             raise DomainError("%s must be a str, not %r" % (what, name))
+    if duplicates is not None and len(set(names)) != len(names):
+        raise DomainError(duplicates)
+
+
+def _position(value, count: int, find, what: str) -> int:
+    """The position of value among count named items: a str by find, which
+    raises ValueError or KeyError for an unknown name, or an int index in
+    range(count), returned as it is."""
+    if isinstance(value, str):
+        try:
+            return find(value)
+        except (ValueError, KeyError):
+            raise DomainError("unknown %s %r" % (what, value)) from None
+    if not isinstance(value, int) or not 0 <= value < count:
+        _check_int(value, what + " index")
+        raise DomainError("%s index %r out of range" % (what, value))
+    return value
 
 
 def _check_ordered(value, what: str):
@@ -116,14 +134,10 @@ class MooreMachine(_Value):
         _check_int(q, "input count")
         if q < 1:
             raise DomainError("machine needs at least one input symbol")
-        _check_names(self.states, "state")
-        if len(set(self.states)) != n:
-            raise DomainError("duplicate state identifiers")
+        _check_names(self.states, "state", "duplicate state identifiers")
         if not self.outputs:
             raise DomainError("empty output alphabet")
-        _check_names(self.outputs, "output")
-        if len(set(self.outputs)) != len(self.outputs):
-            raise DomainError("duplicate output symbols")
+        _check_names(self.outputs, "output", "duplicate output symbols")
         if len(self.transition) != n or set(map(len, self.transition)) != {q}:
             raise DomainError("transition table must be %d x %d" % (n, q))
         for row in self.transition:
@@ -142,9 +156,7 @@ class MooreMachine(_Value):
         if self.input_names is not None:
             if len(self.input_names) != q:
                 raise DomainError("expected %d input names" % q)
-            _check_names(self.input_names, "input name")
-            if len(set(self.input_names)) != q:
-                raise DomainError("duplicate input names")
+            _check_names(self.input_names, "input name", "duplicate input names")
 
     @property
     def n(self) -> int:
@@ -152,15 +164,7 @@ class MooreMachine(_Value):
 
     def state_index(self, s) -> int:
         """Accept a state index or a state name; return the index."""
-        if isinstance(s, str):
-            try:
-                return self.states.index(s)
-            except ValueError:
-                raise DomainError("unknown state %r" % s) from None
-        if not isinstance(s, int) or not 0 <= s < self.n:
-            _check_int(s, "state index")
-            raise DomainError("state index %r out of range" % (s,))
-        return s
+        return _position(s, len(self.states), self.states.index, "state")
 
     def input_label(self, j: int) -> str:
         return self.input_names[j] if self.input_names else str(j)
@@ -217,7 +221,9 @@ def _tuple(value, what: str) -> tuple:
 
 
 def validate_word(word, q: int) -> tuple[int, ...]:
-    """The input symbols of word as a tuple; a string is read by parse_word."""
+    """The input symbols of word as a tuple; a string is read by parse_word.
+    q, the input count, must be an int."""
+    _check_int(q, "input count")
     if isinstance(word, str):
         return parse_word(word, q)
     word = _tuple(word, "word")
@@ -261,8 +267,8 @@ def _digit_value(tok: str):
 def format_word(word, q: int) -> str:
     """The word literal parse_word reads back as word: digits for q <= 10, else
     numbers apart by commas.  The word is checked as validate_word checks it."""
-    _check_int(q, "input count")
-    return ("" if q <= 10 else ",").join(["%d" % j for j in validate_word(word, q)])
+    word = validate_word(word, q)
+    return ("" if q <= 10 else ",").join(["%d" % j for j in word])
 
 
 # --- actions ----------------------------------------------------------------

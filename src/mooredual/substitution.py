@@ -21,6 +21,7 @@ from .machine import (
     _declared,
     _machine,
     _numbered,
+    _position,
     _read_lines,
     _Value,
     _tuple,
@@ -64,14 +65,12 @@ class Substitution(_Value):
         n = len(self.alphabet)
         if n < 1:
             raise DomainError("substitution needs at least one letter")
-        _check_names(self.alphabet, "letter")
+        _check_names(self.alphabet, "letter", "duplicate letters")
         pos = {a: k for k, a in enumerate(self.alphabet)}
-        if len(pos) != n:
-            raise DomainError("duplicate letters")
         if SINK_STATE in self.alphabet:
             raise DomainError("letter %r is reserved for the padding sink" % SINK_STATE)
-        _check_names(self.outputs, "output")
-        if not self.outputs or len(set(self.outputs)) != len(self.outputs):
+        _check_names(self.outputs, "output", "outputs must be nonempty and distinct")
+        if not self.outputs:
             raise DomainError("outputs must be nonempty and distinct")
         if SINK_OUTPUT in self.outputs:
             raise DomainError("output %r is reserved for the padding sink" % SINK_OUTPUT)
@@ -146,15 +145,7 @@ class Substitution(_Value):
         return blocks
 
     def letter_index(self, a) -> int:
-        if isinstance(a, str):
-            try:
-                return self._positions[a]
-            except KeyError:
-                raise DomainError("unknown letter %r" % a) from None
-        if not isinstance(a, int) or not 0 <= a < len(self.alphabet):
-            _check_int(a, "letter index")
-            raise DomainError("letter index %r out of range" % (a,))
-        return a
+        return _position(a, len(self.alphabet), self._positions.__getitem__, "letter")
 
     def image(self, a) -> tuple[str, ...]:
         return self.rules[self.letter_index(a)]
@@ -562,7 +553,14 @@ def psi(pm: PaddedMachine, n: int):
 
 
 def fixed_point_lengths(s: Substitution, k: int) -> list[int]:
-    """Lengths of the first k+1 iterates of the start letter."""
+    """Lengths of the first k+1 iterates of the start letter.  k is checked
+    as ``expand_fixed_point`` checks its length."""
+    _check_ordered(k, "iteration count")
+    if k < 0:
+        raise DomainError("negative iteration count")
+    _check_int(k, "iteration count")
+    if k > sys.maxsize:  # no list holds that many lengths
+        raise DomainError("iteration count %d too large" % k)
     level, lengths = [1] * len(s.alphabet), [1]
     for _ in range(k):
         level = _level_above(s._rows, level)

@@ -1,15 +1,20 @@
 """The argument contracts outside the parsers: every DomainError branch of the
 MooreMachine, Substitution, Counterexample, PaddingSpec and PaddedMachine
-constructors and of the padding and text-layer checks, each with its exact message, as test_parse_contract.py
+constructors, of the padding and text-layer checks and of the integer checks
+of fixed_point_lengths and validate_word, each with its exact message, as test_parse_contract.py
 pins the parsers' ParseErrors; and the two CLI paths no other test takes."""
+
+import math
+import sys
 
 import pytest
 
 from mooredual.cli import run_cli
 from mooredual.machine import (Counterexample, DomainError, MooreMachine, emit_machine,
-                               parse_machine, parse_word)
-from mooredual.substitution import (PaddedMachine, PaddingSpec, Substitution, format_letters,
-                                    parse_letters, parse_substitution, psi, to_padded_machine)
+                               parse_machine, parse_word, validate_word)
+from mooredual.substitution import (PaddedMachine, PaddingSpec, Substitution,
+                                    fixed_point_lengths, format_letters, parse_letters,
+                                    parse_substitution, psi, to_padded_machine)
 
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
@@ -188,6 +193,21 @@ TEXT_ERRORS = [
     (lambda: format_letters(Substitution(**SUBST), [1]), "unknown letter 1"),
     (lambda: format_letters(Substitution(**SUBST), ["a", "c"]), "unknown letter 'c'"),
     (lambda: format_letters(Substitution(**SUBST), ["a", ["b"]]), "unknown letter ['b']"),
+    # an iteration count is checked as a prefix length is, and an input count
+    # as parse_word checks it
+    (lambda: fixed_point_lengths(Substitution(**SUBST), 1.5),
+     "iteration count must be an integer, not 1.5"),
+    (lambda: fixed_point_lengths(Substitution(**SUBST), None),
+     "iteration count must be an integer, not None"),
+    (lambda: fixed_point_lengths(Substitution(**SUBST), -1), "negative iteration count"),
+    (lambda: fixed_point_lengths(Substitution(**SUBST), 10 ** 30),
+     "iteration count %d too large" % 10 ** 30),
+    (lambda: fixed_point_lengths(Substitution(**SUBST), sys.maxsize + 1),
+     "iteration count %d too large" % (sys.maxsize + 1)),
+    (lambda: validate_word((0,), None), "input count must be an integer, not None"),
+    (lambda: validate_word((0,), 1.5), "input count must be an integer, not 1.5"),
+    (lambda: validate_word((0,), math.inf), "input count must be an integer, not inf"),
+    (lambda: validate_word("0", "2"), "input count must be an integer, not '2'"),
 ]
 
 

@@ -9,15 +9,18 @@ an exit code in 0-3 without raising.  Whatever value an integer parameter
 gets, a numeration entry point returns a value or raises DomainError or
 ParseError, and a machine entry point returns a value or raises DomainError.
 So does every padding argument and every constructor's sequence field.
+Every int-annotated parameter of a public function is in an integer sweep.
 """
 
 import contextlib
+import inspect
 import io
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mooredual import duality, equivalence, machine, substitution
 from mooredual.cli import run_cli
 from mooredual.duality import dual, dual_with_vectors
 from mooredual.equivalence import minimize, states_equivalent
@@ -31,12 +34,14 @@ from mooredual.machine import (
     parse_machine,
     parse_word,
     right_action,
+    validate_word,
 )
 from mooredual.substitution import (
     PaddingSpec,
     Substitution,
     emit_substitution,
     expand_fixed_point,
+    fixed_point_lengths,
     letter_at,
     letter_at_constant,
     minimize_substitution,
@@ -215,6 +220,8 @@ NUMERATION_CALLS = {
     "phi digit": lambda v, fib, pad, const: phi((v, 1), 2),
     "parse_word q": lambda v, fib, pad, const: parse_word("0110", v),
     "format_word q": lambda v, fib, pad, const: format_word((0, 1, 1), v),
+    "fixed_point_lengths k": lambda v, fib, pad, const: fixed_point_lengths(fib, v),
+    "validate_word q": lambda v, fib, pad, const: validate_word((0, 1, 1), v),
 }
 
 
@@ -308,6 +315,23 @@ def test_machine_integer_parameters(call, value):
         assert outcome == machine_outcome(call, int(value))
     else:  # no other value is read as an int
         assert outcome[0] == "DomainError"
+
+
+def test_every_int_parameter_is_swept():
+    """Each int-annotated parameter of a public function of the library core
+    has an entry in one of the two sweeps above."""
+    unswept = []
+    for module in (machine, equivalence, duality, substitution):
+        for name, function in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(function)
+                    or function.__module__ != module.__name__):
+                continue
+            for param in inspect.signature(function).parameters.values():
+                call = "%s %s" % (name, param.name)
+                if param.annotation in ("int", int) and call not in {**NUMERATION_CALLS,
+                                                                     **MACHINE_CALLS}:
+                    unswept.append(call)
+    assert unswept == []
 
 
 # each sequence field of the three constructors that copy them, with its
