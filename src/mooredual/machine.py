@@ -222,8 +222,10 @@ def _tuple(value, what: str) -> tuple:
 
 def validate_word(word, q: int) -> tuple[int, ...]:
     """The input symbols of word as a tuple; a string is read by parse_word.
-    q, the input count, must be an int."""
+    q, the input count, must be an int of at least 1."""
     _check_int(q, "input count")
+    if q < 1:
+        raise DomainError("input count must be at least 1, not %d" % q)
     if isinstance(word, str):
         return parse_word(word, q)
     word = _tuple(word, "word")

@@ -366,10 +366,10 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
     ints 0 <= k <= 2t, t the depth of the block table, a warm query is
     one read of sigma^k(a) for k <= t, else two: the top k - t base-q digits
     of n index sigma^(k-t)(a), and the last t sigma^t of the letter there.
-    Past 2t it takes ``letter_at``'s count and descent from a_(k-d), where
-    a_0 = a, a_(i+1) is the first letter of sigma(a_i) and d = max(t, digits
-    of n): sigma^k(a) begins with sigma^d(a_(k-d)).  The a_i cycle within
-    |A| steps, so a huge k costs no more: O(d * |A| * q).
+    Past 2t, and for an n outside sigma^k(a), it is ``_unrank``'s count and
+    descent with k as the limit, as for ``letter_at``: n is in range exactly
+    when the count of k-digit words, q**k, passes it.  That costs
+    O(d * |A| * q) for d = max(t, digits of n), however large k is.
     """
     if not s._constant_length:
         raise DomainError("substitution is not constant-length")
@@ -390,33 +390,30 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
             image = blocks.levels[k - t][state]
             if hi < len(image):
                 return words[image[hi]][n - hi * size]
-    q = s.q
     if k.__class__ is not int or n.__class__ is not int:
         _check_ordered(k, "step")
         _check_ordered(n, "index")
         if not (k < 0 or n < 0):  # a negative k or n is out of range first, nan is not
             _check_int(k, "step")
             _check_int(n, "index")
-    # n < q**k; for q > 1 an n below 2**k needs no power
-    if k < 0 or n < 0 or (n >> k or q == 1) and n >= q ** min(k, n.bit_length()):
-        raise DomainError("index %d out of range for step %d" % (n, k))
-    if k <= t + t:  # a bool or another int subclass: the table answers
-        return letter_at_constant(s, int(k), state, int(n))
-    words = blocks.words
-    rows, size, steps = s._rows, len(words[0]), k - t  # size = q**d, steps = k - d
-    while size <= n:  # d from t up to the number of base-q digits of n
-        size *= q
-        steps -= 1
-    seen = []  # a_0, a_1, ... until one repeats
-    while steps and state not in seen:
-        seen.append(state)
-        state = rows[state][0]
-        steps -= 1
-    if steps:
-        cycle = seen[seen.index(state):]
-        state = cycle[steps % len(cycle)]
-    _, state, rank = _unrank(rows, state, n, stop=t)
-    return words[state][rank]
+            return letter_at_constant(s, int(k), state, int(n))  # a bool or int subclass
+    if 0 <= k and 0 <= n:
+        _, state, rank = _unrank(s._rows, state, n, limit=k, stop=t)
+        if state is not None:
+            return blocks.words[state][rank]
+    raise _out_of_range(n, k)
+
+
+def _out_of_range(n, k) -> DomainError:
+    """The error for an index n outside step k, each shown as ``%d`` shows
+    it (a float truncated), or by its repr where it cannot: inf and nan."""
+    shown = []
+    for value in (n, k):
+        try:
+            shown.append("%d" % value)
+        except (OverflowError, ValueError):
+            shown.append(repr(value))
+    return DomainError("index %s out of range for step %s" % tuple(shown))
 
 
 # --- digit-word numeration ----------------------------------------------------
@@ -452,7 +449,7 @@ _BLOCK_LETTERS = 4096  # letters a block table may build, over all its levels
 def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None,
             digits: list | None = None, stop: int = 0):
     """Unrank by count and descent (Dumont-Thomas numeration): the one
-    descent of ``psi``, ``letter_at`` and ``letter_at_constant`` past step 2t.
+    engine of ``psi``, ``letter_at`` and ``letter_at_constant``.
 
     Level r of the table counts, per state a, the r-digit strings (most
     significant digit first) leading from a along ``rows`` without entering
@@ -460,11 +457,15 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
     lexicographic order are the numerals in value order.  Counting stops once
     the count exceeds the rank, at ``limit`` digits, or when it stops growing
     (for good: the language is finite).  The descent then picks one digit
-    per level down to level ``stop``.  Returns the last count and, if above
-    the rank, the state reached at level ``stop`` and the rank left among
-    its ``stop``-digit strings (else None and the rank); the digits picked,
-    most significant first and without leading zeros, are appended to
-    ``digits`` if given.
+    per level down to level ``stop``; with a ``limit`` and d levels counted,
+    from a_(limit - max(d, stop)), where a_0 is ``start`` and a_(i+1) the
+    first letter of a_i's row: sigma^limit(start) begins with sigma^d of it,
+    which counts as ``start`` does at a fixed point (a_i is ``start``) or in
+    a constant-length substitution.  The a_i cycle, so a huge limit costs
+    no more.  Returns the last count and, if above the rank, the state reached
+    at level ``stop`` and the rank left among its ``stop``-digit strings
+    (else None and the rank); the digits picked, most significant first and
+    without leading zeros, are appended to ``digits`` if given.
 
     Iterates that grow only polynomially need about one level per unit of
     rank.  So beyond _KEPT_LEVELS levels only every gap-th level is kept,
@@ -492,7 +493,15 @@ def _unrank(rows, start, rank, limit: int | None = None, sink: int | None = None
     count = level[start]
     if count <= rank:
         return count, None, rank
-    state = start
+    state, steps = start, 0 if limit is None else limit - max(depth, stop)
+    seen = []  # a_0, a_1, ... until one repeats
+    while steps > 0 and state not in seen:
+        seen.append(state)
+        state = rows[state][0]
+        steps -= 1
+    if steps > 0:
+        cycle = seen[seen.index(state):]
+        state = cycle[steps % len(cycle)]
     if gap == 1:
         descent = reversed(kept[stop:depth])
     else:
@@ -613,7 +622,7 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
         if k < 0:
             raise DomainError("negative iteration count")
         if j < 0:
-            raise DomainError("index %d out of range for step %d" % (j, k))
+            raise _out_of_range(j, k)
         _check_int(k, "iteration count")
         _check_int(j, "index")
         length, state, rank = _unrank(s._rows, s.initial, j, limit=k, stop=blocks.t)

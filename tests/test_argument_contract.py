@@ -11,10 +11,10 @@ import pytest
 
 from mooredual.cli import run_cli
 from mooredual.machine import (Counterexample, DomainError, MooreMachine, emit_machine,
-                               parse_machine, parse_word, validate_word)
+                               format_word, parse_machine, parse_word, validate_word)
 from mooredual.substitution import (PaddedMachine, PaddingSpec, Substitution,
                                     fixed_point_lengths, format_letters, parse_letters,
-                                    parse_substitution, psi, to_padded_machine)
+                                    parse_substitution, phi, psi, to_padded_machine)
 
 MACHINE = dict(states=("a", "b"), input_count=2, outputs=("0", "1"),
                transition=((1, 0), (0, 1)), output_map=("0", "1"), initial=0,
@@ -208,6 +208,13 @@ TEXT_ERRORS = [
     (lambda: validate_word((0,), 1.5), "input count must be an integer, not 1.5"),
     (lambda: validate_word((0,), math.inf), "input count must be an integer, not inf"),
     (lambda: validate_word("0", "2"), "input count must be an integer, not '2'"),
+    # an input count below 1, whether or not the word has a symbol to check
+    (lambda: validate_word((), -1), "input count must be at least 1, not -1"),
+    (lambda: validate_word((0,), -1), "input count must be at least 1, not -1"),
+    (lambda: validate_word("", 0), "input count must be at least 1, not 0"),
+    (lambda: parse_word("0", 0), "input count must be at least 1, not 0"),
+    (lambda: format_word((), -3), "input count must be at least 1, not -3"),
+    (lambda: phi((0,), 0), "input count must be at least 1, not 0"),
 ]
 
 

@@ -201,7 +201,8 @@ class _Int(int):
     """An int subclass: like a bool, it must take the checked path."""
 
 
-NOT_PLAIN_INTS = [None, "x", 1.5, 2.0, math.nan, math.inf, -1, True, 10 ** 30, _Int(3)]
+NOT_PLAIN_INTS = [None, "x", 1.5, 2.0, math.nan, math.inf, -math.inf, -1, True, 10 ** 30,
+                  _Int(3)]
 
 # each entry point with one integer parameter (or two, the same value) set
 # to the swept value, on the Fibonacci substitution and the constant-length

@@ -289,13 +289,19 @@ def test_letter_at_constant_rejects(fib, paper_subst):
     assert letter_at_constant(unary, 5, "a", 0) == "a"
     with pytest.raises(DomainError, match="out of range"):
         letter_at_constant(unary, 5, "a", 1)
-    # the range is n < q**k exactly, in every base
+    # the range is n < q**k exactly, in every base and at every step up to
+    # 2t + 2 for the depth t of the substitution's own table: table reads up
+    # to 2t, the descent past it.  Each query is made warm and on a fresh
+    # table; for q = 1, whose t is 4095, fresh only next to steps 0, t and 2t
     for q in (1, 2, 3):
         s = Substitution(("a",), (("a",) * q,), ("0",), ("0",), 0)
-        for k in range(7):
-            assert letter_at_constant(s, k, "a", q ** k - 1) == "a"
-            with pytest.raises(DomainError, match="out of range"):
-                letter_at_constant(s, k, "a", q ** k)
+        t = s._blocks().t
+        for k in range(2 * t + 3):
+            fresh_too = q > 1 or min(k, abs(k - t), abs(k - 2 * t - 1)) <= 1
+            for warm in (True, False) if fresh_too else (True,):
+                assert letter_at_constant(s if warm else fresh(s), k, "a", q ** k - 1) == "a"
+                with pytest.raises(DomainError, match="out of range"):
+                    letter_at_constant(s if warm else fresh(s), k, "a", q ** k)
         assert letter_at_constant(s, 10 ** 12, "a", 2 ** 70 if q > 1 else 0) == "a"
 
 
@@ -1023,10 +1029,10 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
         for n in range(0, len(image), 5 if k < 2 * t else 997):
             assert letter_at_constant(const, k, "i", n) == image[n]
     # the patches are live: past its step a query descends, and checks first,
-    # and past step 2t q is read before the descent
+    # and past step 2t a query descends
     with pytest.raises(AssertionError, match="checked its substitution"):
         letter_at(fib, pad, 18, len(prefix))
-    with pytest.raises(AssertionError, match="digit walk"):
+    with pytest.raises(AssertionError, match="checked its substitution"):
         letter_at_constant(const, 2 * t + 1, "i", 0)
 
 

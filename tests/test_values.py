@@ -1,6 +1,7 @@
 """Value semantics of the five immutable classes, and their field types."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -307,6 +308,16 @@ def test_negative_non_integers_keep_their_range_messages():
         letter_at_constant(Substitution(**PAPER), -1.5, "a", 1)
     with pytest.raises(DomainError, match="^negative rank$"):
         psi(to_padded_machine(fib), -1.5)
+    # one argument negative and the other not finite, shown as inf or nan
+    inf, nan = math.inf, math.nan
+    for k, j in ((3, -inf), (inf, -1), (nan, -1)):
+        with pytest.raises(DomainError, match="^index %s out of range for step %s$" % (j, k)):
+            letter_at(fib, FIB_PAD, k, j)
+    for k, n in ((-inf, 1), (3, -inf), (inf, -1), (-1, inf), (nan, -1)):
+        with pytest.raises(DomainError, match="^index %s out of range for step %s$" % (n, k)):
+            letter_at_constant(Substitution(**PAPER), k, "a", n)
+    with pytest.raises(DomainError, match="^index inf out of range for step -1$"):
+        letter_at_constant(Substitution(**PAPER), -1.5, "a", inf)
 
 
 def test_bools_are_integers():
