@@ -93,12 +93,12 @@ def _position(value, count: int, find, what: str) -> int:
     return value
 
 
-def _check_ordered(value, what: str):
-    """Raise _check_int's DomainError if value does not compare with 0, so
-    that a sign test after this one cannot raise TypeError."""
+def _negative(value, what: str) -> bool:
+    """Whether value < 0.  Raise _check_int's DomainError if value does not
+    compare with 0: None and a str do not, and a decimal NaN signals."""
     try:
-        value < 0
-    except TypeError:
+        return value < 0
+    except (TypeError, ArithmeticError):
         raise DomainError("%s must be an integer, not %r" % (what, value)) from None
 
 

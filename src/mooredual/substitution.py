@@ -15,11 +15,11 @@ from .machine import (
     _check_int,
     _check_machine,
     _check_names,
-    _check_ordered,
     _check_text,
     _check_tokens,
     _declared,
     _machine,
+    _negative,
     _numbered,
     _position,
     _read_lines,
@@ -307,8 +307,7 @@ def expand_fixed_point(s: Substitution, n: int, project: bool = False):
     projection is applied letter by letter.
     """
     check_fixed_point(s)
-    _check_ordered(n, "prefix length")
-    if n < 0:
+    if _negative(n, "prefix length"):
         raise DomainError("negative prefix length")
     _check_int(n, "prefix length")
     if n > sys.maxsize:  # no tuple holds that many letters
@@ -355,10 +354,6 @@ def to_padded_machine(s: Substitution, pad: PaddingSpec | None = None) -> Padded
     return PaddedMachine(machine, n)
 
 
-def is_constant_length(s: Substitution) -> bool:
-    return s._constant_length
-
-
 def letter_at_constant(s: Substitution, k: int, a, n: int):
     """Letter n of the k-th image of letter a, via digit indexing (no expansion).
 
@@ -391,13 +386,12 @@ def letter_at_constant(s: Substitution, k: int, a, n: int):
             if hi < len(image):
                 return words[image[hi]][n - hi * size]
     if k.__class__ is not int or n.__class__ is not int:
-        _check_ordered(k, "step")
-        _check_ordered(n, "index")
-        if not (k < 0 or n < 0):  # a negative k or n is out of range first, nan is not
+        negative = _negative(k, "step"), _negative(n, "index")
+        if not any(negative):  # a negative k or n is out of range first, nan is not
             _check_int(k, "step")
             _check_int(n, "index")
             return letter_at_constant(s, int(k), state, int(n))  # a bool or int subclass
-    if 0 <= k and 0 <= n:
+    elif 0 <= k and 0 <= n:
         _, state, rank = _unrank(s._rows, state, n, limit=k, stop=t)
         if state is not None:
             return blocks.words[state][rank]
@@ -547,8 +541,7 @@ def psi(pm: PaddedMachine, n: int):
     """
     if not isinstance(pm, PaddedMachine):
         raise DomainError("expected a PaddedMachine, not %r" % (pm,))
-    _check_ordered(n, "rank")
-    if n < 0:
+    if _negative(n, "rank"):
         raise DomainError("negative rank")
     m = pm.machine
     if m.transition[m.initial][0] != m.initial:
@@ -564,8 +557,7 @@ def psi(pm: PaddedMachine, n: int):
 def fixed_point_lengths(s: Substitution, k: int) -> list[int]:
     """Lengths of the first k+1 iterates of the start letter.  k is checked
     as ``expand_fixed_point`` checks its length."""
-    _check_ordered(k, "iteration count")
-    if k < 0:
+    if _negative(k, "iteration count"):
         raise DomainError("negative iteration count")
     _check_int(k, "iteration count")
     if k > sys.maxsize:  # no list holds that many lengths
@@ -617,11 +609,10 @@ def letter_at(s: Substitution, pad: PaddingSpec | None, k: int, j: int):
             letter = blocks.blockwords[i][j - offsets[i]]
     else:
         check_fixed_point(s)
-        _check_ordered(k, "iteration count")
-        _check_ordered(j, "index")
-        if k < 0:
+        k_negative, j_negative = _negative(k, "iteration count"), _negative(j, "index")
+        if k_negative:
             raise DomainError("negative iteration count")
-        if j < 0:
+        if j_negative:
             raise _out_of_range(j, k)
         _check_int(k, "iteration count")
         _check_int(j, "index")

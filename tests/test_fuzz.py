@@ -16,6 +16,7 @@ import contextlib
 import inspect
 import io
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,7 +203,7 @@ class _Int(int):
 
 
 NOT_PLAIN_INTS = [None, "x", 1.5, 2.0, math.nan, math.inf, -math.inf, -1, True, 10 ** 30,
-                  _Int(3)]
+                  _Int(3), Decimal("nan"), Decimal("snan"), Decimal(-1), Decimal(2)]
 
 # each entry point with one integer parameter (or two, the same value) set
 # to the swept value, on the Fibonacci substitution and the constant-length

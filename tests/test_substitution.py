@@ -29,7 +29,6 @@ from mooredual.substitution import (
     emit_substitution,
     expand_fixed_point,
     fixed_point_lengths,
-    is_constant_length,
     letter_at,
     letter_at_constant,
     minimize_substitution,
@@ -1015,8 +1014,7 @@ def test_warm_queries_make_no_per_substitution_checks(monkeypatch):
         raise AssertionError("a warm query checked its substitution again")
 
     for owner, name in ((substitution, "check_fixed_point"), (substitution, "_unrank"),
-                        (substitution, "is_constant_length"), (PaddingSpec, "validate"),
-                        (Substitution, "_blocks")):
+                        (PaddingSpec, "validate"), (Substitution, "_blocks")):
         monkeypatch.setattr(owner, name, refuse)
     for j in range(0, len(prefix), 7):
         assert letter_at(fib, pad, 18, j) == prefix[j]
@@ -1211,7 +1209,7 @@ def test_only_a_fixed_point_gives_the_table_a_reach(s):
     except DomainError:
         fixed = False
     assert (block_table(s).reach > 0) == fixed
-    assert s._constant_length == (min(map(len, s.rules)) == s.q) == is_constant_length(s)
+    assert s._constant_length == (min(map(len, s.rules)) == s.q)
 
 
 @given(padded_substitutions(), st.sampled_from([1, 2, 5, 64]))
