@@ -50,8 +50,17 @@ def _write(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _word_display(word, q) -> str:
-    return format_word(word, q) if word else "ε"
+def _command(sub, name, help_text, *files, output=False, options=()):
+    """Declare subcommand `name`: its positional input `files`, then `options` as
+    (flags, settings) pairs, then -o/--output on the commands that write text."""
+    sp = sub.add_parser(name, help=help_text)
+    for f in files:
+        sp.add_argument(f)
+    for flags, settings in options:
+        sp.add_argument(*flags, **settings)
+    if output:
+        sp.add_argument("-o", "--output", default=None)
+    return sp
 
 
 # --- moore ---------------------------------------------------------------------
@@ -59,102 +68,63 @@ def _word_display(word, q) -> str:
 def _moore_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="moore", description="Moore machine toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="parse a machine file and report its shape")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("run", help="feed a word and print the output symbol")
-    sp.add_argument("file")
+    _command(sub, "validate", "parse a machine file and report its shape", "file")
+    sp = _command(sub, "run", "feed a word and print the output symbol", "file")
     sp.add_argument("--word", required=True)
     sp.add_argument("--side", choices=["right", "left"], default="right")
-
-    for name, help_text in [
-        ("minimize", "print the canonical minimal equivalent machine"),
-        ("dual", "print the dual machine (with vector comments)"),
-        ("normal", "print the normal form (trim + canonical state numbering)"),
-        ("dot", "print a Graphviz diagram"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("file")
-        sp.add_argument("-o", "--output", default=None)
-        if name == "dual":
-            sp.add_argument(
-                "--max-states", type=int, default=MAX_DUAL_STATES,
-                help="give up (exit 3) once the dual has more states (default %(default)s)",
-            )
-
-    sp = sub.add_parser("equiv", help="test equivalence of two machines")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-
-    sp = sub.add_parser("iso", help="look for a state isomorphism")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-
-    sp = sub.add_parser("product", help="pair-synchronized product machine")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    sp.add_argument("--combine", choices=["pair", "first", "second"], default="pair")
-    sp.add_argument("-o", "--output", default=None)
+    _command(sub, "minimize", "print the canonical minimal equivalent machine", "file", output=True)
+    sp = _command(sub, "dual", "print the dual machine (with vector comments)", "file", output=True)
+    sp.add_argument(
+        "--max-states", type=int, default=MAX_DUAL_STATES,
+        help="give up (exit 3) once the dual has more states (default %(default)s)",
+    )
+    _command(sub, "normal", "print the normal form (trim + canonical state numbering)", "file", output=True)
+    _command(sub, "dot", "print a Graphviz diagram", "file", output=True)
+    _command(sub, "equiv", "test equivalence of two machines", "file1", "file2")
+    _command(sub, "iso", "look for a state isomorphism", "file1", "file2")
+    _command(
+        sub, "product", "pair-synchronized product machine", "file1", "file2", output=True,
+        options=[(["--combine"], dict(choices=["pair", "first", "second"], default="pair"))],
+    )
     return p
 
 
 def _run_moore(args_list) -> int:
     args = _moore_parser().parse_args(args_list)
     cmd = args.command
+    machines = [parse_machine(_read(getattr(args, f))) for f in ("file", "file1", "file2") if f in args]
+    m, m2 = machines[0], machines[-1]  # equiv, iso and product compare two
 
     if cmd == "validate":
-        m = parse_machine(_read(args.file))
         print("ok: %d states, %d inputs, %d outputs" % (m.n, m.input_count, len(m.outputs)))
-        return EXIT_OK
-
-    if cmd == "run":
-        m = parse_machine(_read(args.file))
+    elif cmd == "run":
         word = parse_word(args.word, m.input_count)
-        out = run_right(m, word) if args.side == "right" else run_left(m, word)
-        print(out)
-        return EXIT_OK
-
-    if cmd in ("minimize", "dual", "normal", "dot"):
-        m = parse_machine(_read(args.file))
-        if cmd == "dual":
-            text = emit_machine(*dual_with_vectors(m, args.max_states))
-        elif cmd == "dot":
-            text = to_dot(m)
-        else:
-            text = emit_machine({"minimize": minimize, "normal": normal_form}[cmd](m))
-        _write(text, args.output)
-        return EXIT_OK
-
-    # the remaining commands compare two machines
-    m1 = parse_machine(_read(args.file1))
-    m2 = parse_machine(_read(args.file2))
-
-    if cmd == "equiv":
-        verdict = equivalent(m1, m2)
-        if verdict is True:
-            print("equivalent")
-            return EXIT_OK
-        print(
-            "not equivalent at %s: %s vs %s"
-            % (_word_display(verdict.word, m1.input_count), verdict.left_output, verdict.right_output)
-        )
-        return EXIT_NEGATIVE
-
-    if cmd == "iso":
-        mapping = isomorphic(m1, m2)
+        print(run_right(m, word) if args.side == "right" else run_left(m, word))
+    elif cmd == "minimize":
+        _write(emit_machine(minimize(m)), args.output)
+    elif cmd == "dual":
+        _write(emit_machine(*dual_with_vectors(m, args.max_states)), args.output)
+    elif cmd == "normal":
+        _write(emit_machine(normal_form(m)), args.output)
+    elif cmd == "dot":
+        _write(to_dot(m), args.output)
+    elif cmd == "equiv":
+        verdict = equivalent(m, m2)
+        if verdict is not True:
+            word = format_word(verdict.word, m.input_count) if verdict.word else "ε"
+            print("not equivalent at %s: %s vs %s" % (word, verdict.left_output, verdict.right_output))
+            return EXIT_NEGATIVE
+        print("equivalent")
+    elif cmd == "iso":
+        mapping = isomorphic(m, m2)
         if mapping is None:
             print("not isomorphic")
             return EXIT_NEGATIVE
-        for name in m1.states:
+        for name in m.states:
             print("%s -> %s" % (name, mapping[name]))
-        return EXIT_OK
-
-    if cmd == "product":
-        _write(emit_machine(product(m1, m2, args.combine)), args.output)
-        return EXIT_OK
-
-    raise AssertionError("unhandled command %r" % cmd)
+    elif cmd == "product":
+        _write(emit_machine(product(m, m2, args.combine)), args.output)
+    return EXIT_OK
 
 
 # --- subst ------------------------------------------------------------------------
@@ -162,17 +132,11 @@ def _run_moore(args_list) -> int:
 def _subst_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="subst", description="substitution toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="parse a substitution file and report its shape")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("expand", help="print a prefix of the fixed point")
-    sp.add_argument("file")
+    _command(sub, "validate", "parse a substitution file and report its shape", "file")
+    sp = _command(sub, "expand", "print a prefix of the fixed point", "file")
     sp.add_argument("-n", type=int, required=True, help="prefix length")
     sp.add_argument("--project", action="store_true", help="apply the output projection")
-
-    sp = sub.add_parser("letter", help="letter of the fixed point by digit indexing")
-    sp.add_argument("file")
+    sp = _command(sub, "letter", "letter of the fixed point by digit indexing", "file")
     sp.add_argument("-k", type=int, required=True, help="iteration count")
     sp.add_argument("-n", type=int, required=True, help="letter index")
     sp.add_argument(
@@ -180,22 +144,12 @@ def _subst_parser() -> argparse.ArgumentParser:
         default=None,
         help="constant-length route: index into the k-th image of this letter",
     )
-
-    sp = sub.add_parser("phi", help="digit sum of a word in the file's base")
-    sp.add_argument("file")
+    sp = _command(sub, "phi", "digit sum of a word in the file's base", "file")
     sp.add_argument("--word", required=True)
-
-    sp = sub.add_parser("psi", help="n-th valid digit word of the padded machine")
-    sp.add_argument("file")
+    sp = _command(sub, "psi", "n-th valid digit word of the padded machine", "file")
     sp.add_argument("-n", type=int, required=True)
-
-    sp = sub.add_parser("minimize", help="substitution on the merged alphabet")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = sub.add_parser("to-machine", help="print the padded machine as .moore text")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--output", default=None)
+    _command(sub, "minimize", "substitution on the merged alphabet", "file", output=True)
+    _command(sub, "to-machine", "print the padded machine as .moore text", "file", output=True)
     return p
 
 
@@ -209,39 +163,24 @@ def _run_subst(args_list) -> int:
 
     if cmd == "validate":
         print("ok: %d letters, q=%d, %d outputs" % (len(s.alphabet), s.q, len(s.outputs)))
-        return EXIT_OK
-
-    if cmd == "expand":
+    elif cmd == "expand":
         letters = sub.expand_fixed_point(s, args.n, project=args.project)
         print("".join(letters) if args.project else sub.format_letters(s, letters))
-        return EXIT_OK
-
-    if cmd == "letter":
+    elif cmd == "letter":
         if args.start is not None:
             print(sub.letter_at_constant(s, args.k, args.start, args.n))
         else:
             print(sub.letter_at(s, pad, args.k, args.n))
-        return EXIT_OK
-
-    if cmd == "phi":
+    elif cmd == "phi":
         print(sub.phi(parse_word(args.word, s.q), s.q))
-        return EXIT_OK
-
-    if cmd == "psi":
-        pm = sub.to_padded_machine(s, pad)
-        print(format_word(sub.psi(pm, args.n), s.q))
-        return EXIT_OK
-
-    if cmd == "minimize":
+    elif cmd == "psi":
+        print(format_word(sub.psi(sub.to_padded_machine(s, pad), args.n), s.q))
+    elif cmd == "minimize":
         small, note = sub.minimize_substitution(s, pad)
         _write("# %s\n%s" % (note, sub.emit_substitution(small)), args.output)
-        return EXIT_OK
-
-    if cmd == "to-machine":
+    elif cmd == "to-machine":
         _write(emit_machine(sub.to_padded_machine(s, pad).machine), args.output)
-        return EXIT_OK
-
-    raise AssertionError("unhandled command %r" % cmd)
+    return EXIT_OK
 
 
 # --- dispatch -----------------------------------------------------------------------

@@ -270,11 +270,18 @@ def parse_letters(s: Substitution, text: str) -> tuple[str, ...]:
 
 
 def format_letters(s: Substitution, letters) -> str:
-    """The literal parse_letters reads back as the word of letter names."""
+    """The literal parse_letters reads back as the word of letter names.
+
+    A letter that is empty or holds a comma or whitespace would not read back,
+    and parse_letters has no literal that names it; a word with one is a
+    DomainError naming its first such letter.
+    """
     letters = _tuple(letters, "word")
     for a in letters:
         if not isinstance(a, str) or a not in s._positions:
             raise DomainError("unknown letter %r" % (a,))
+        if "," in a or a.split() != [a]:
+            raise DomainError("letter %r would not read back as one token" % (a,))
     if all(len(a) == 1 for a in s.alphabet):
         return "".join(letters)
     return " ".join(letters)

@@ -193,6 +193,11 @@ TEXT_ERRORS = [
     (lambda: format_letters(Substitution(**SUBST), [1]), "unknown letter 1"),
     (lambda: format_letters(Substitution(**SUBST), ["a", "c"]), "unknown letter 'c'"),
     (lambda: format_letters(Substitution(**SUBST), ["a", ["b"]]), "unknown letter ['b']"),
+    # a letter with a comma or whitespace, or an empty one, has no literal
+    (lambda: format_letters(Substitution(**{**SUBST, "alphabet": ("a,b", "c"),
+                                            "rules": (("a,b", "c"), ("a,b",))}),
+                            ("a,b", "c", "a,b")),
+     "letter 'a,b' would not read back as one token"),
     # an iteration count is checked as a prefix length is, and an input count
     # as parse_word checks it
     (lambda: fixed_point_lengths(Substitution(**SUBST), 1.5),

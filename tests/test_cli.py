@@ -1,11 +1,14 @@
+import argparse
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mooredual.cli import run_cli
+from mooredual.cli import _moore_parser, _subst_parser, moore_main, run_cli, subst_main
+from mooredual.duality import MAX_DUAL_STATES
 from mooredual.machine import MooreMachine, emit_machine, parse_machine, to_dot
 from mooredual.substitution import parse_substitution
 
@@ -175,12 +178,21 @@ def test_iso_negative(capsys):
     assert (code, out) == (1, "not isomorphic\n")
 
 
-def test_output_file_option(capsys, tmp_path):
-    target = tmp_path / "out.moore"
-    code, out, _ = run(capsys, "moore", "minimize", EXAMPLE, "-o", str(target))
+@pytest.mark.parametrize("argv", [
+    ["moore", "minimize", EXAMPLE],
+    ["moore", "dual", EXAMPLE],
+    ["moore", "normal", EXAMPLE],
+    ["moore", "dot", EXAMPLE],
+    ["moore", "product", EXAMPLE, EXAMPLE_MIN, "--combine", "first"],
+    ["subst", "minimize", FIB],
+    ["subst", "to-machine", FIB],
+])
+def test_output_file_option(argv, capsys, tmp_path):
+    code, printed, _ = run(capsys, *argv)
     assert code == 0
-    assert out == ""
-    assert target.read_text(encoding="utf-8") == read_golden("moore_minimize_example.txt")
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "-o", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == printed
 
 
 # --- subst subcommands ------------------------------------------------------------
@@ -198,6 +210,15 @@ def test_subst_expand(capsys):
 def test_subst_expand_project(capsys):
     code, out, _ = run(capsys, "subst", "expand", FIB, "-n", "8", "--project")
     assert (code, out) == (0, "01001010\n")
+
+
+def test_subst_expand_refuses_letters_that_would_not_read_back(capsys, tmp_path):
+    path = tmp_path / "comma.subst"
+    path.write_text("subst v1\nletters a,b c\noutputs 0 1\ninitial a,b\nrule a,b -> a,b c\n"
+                    "rule c -> a,b\nout a,b 0\nout c 1\n", encoding="utf-8")
+    assert run(capsys, "subst", "expand", str(path), "-n", "5") == (
+        3, "", "error: letter 'a,b' would not read back as one token\n")
+    assert run(capsys, "subst", "expand", str(path), "-n", "5", "--project") == (0, "01001\n", "")
 
 
 def test_subst_letter(capsys):
@@ -276,6 +297,78 @@ def test_emitted_substitution_reparses(capsys):
     parse_substitution(out)
 
 
+HELP = (("-h", "--help"), "help", False, argparse.SUPPRESS, None, None, "show this help message and exit")
+FILE = ((), "file", True, None, None, None, None)
+FILES = [((), "file1", True, None, None, None, None), ((), "file2", True, None, None, None, None)]
+OUTPUT = (("-o", "--output"), "output", False, None, None, None, None)
+
+# per subcommand, in order: its help and, per argument in order,
+# (option_strings, dest, required, default, choices, type, help)
+DECLARED = {
+    "moore": [
+        ("validate", "parse a machine file and report its shape", [HELP, FILE]),
+        ("run", "feed a word and print the output symbol", [
+            HELP, FILE,
+            (("--word",), "word", True, None, None, None, None),
+            (("--side",), "side", False, "right", ["right", "left"], None, None),
+        ]),
+        ("minimize", "print the canonical minimal equivalent machine", [HELP, FILE, OUTPUT]),
+        ("dual", "print the dual machine (with vector comments)", [
+            HELP, FILE, OUTPUT,
+            (("--max-states",), "max_states", False, MAX_DUAL_STATES, None, int,
+             "give up (exit 3) once the dual has more states (default %(default)s)"),
+        ]),
+        ("normal", "print the normal form (trim + canonical state numbering)", [HELP, FILE, OUTPUT]),
+        ("dot", "print a Graphviz diagram", [HELP, FILE, OUTPUT]),
+        ("equiv", "test equivalence of two machines", [HELP, *FILES]),
+        ("iso", "look for a state isomorphism", [HELP, *FILES]),
+        ("product", "pair-synchronized product machine", [
+            HELP, *FILES,
+            (("--combine",), "combine", False, "pair", ["pair", "first", "second"], None, None),
+            OUTPUT,
+        ]),
+    ],
+    "subst": [
+        ("validate", "parse a substitution file and report its shape", [HELP, FILE]),
+        ("expand", "print a prefix of the fixed point", [
+            HELP, FILE,
+            (("-n",), "n", True, None, None, int, "prefix length"),
+            (("--project",), "project", False, False, None, None, "apply the output projection"),
+        ]),
+        ("letter", "letter of the fixed point by digit indexing", [
+            HELP, FILE,
+            (("-k",), "k", True, None, None, int, "iteration count"),
+            (("-n",), "n", True, None, None, int, "letter index"),
+            (("--start",), "start", False, None, None, None,
+             "constant-length route: index into the k-th image of this letter"),
+        ]),
+        ("phi", "digit sum of a word in the file's base", [
+            HELP, FILE, (("--word",), "word", True, None, None, None, None),
+        ]),
+        ("psi", "n-th valid digit word of the padded machine", [
+            HELP, FILE, (("-n",), "n", True, None, None, int, None),
+        ]),
+        ("minimize", "substitution on the merged alphabet", [HELP, FILE, OUTPUT]),
+        ("to-machine", "print the padded machine as .moore text", [HELP, FILE, OUTPUT]),
+    ],
+}
+
+
+@pytest.mark.parametrize("tool, parser", [("moore", _moore_parser), ("subst", _subst_parser)])
+def test_declared_arguments(tool, parser):
+    # the argparse declarations themselves, which read the same on every
+    # supported Python, where the format_help() text does not
+    (commands,) = [a for a in parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = [
+        (name, listed.help, [
+            (tuple(a.option_strings), a.dest, a.required, a.default, a.choices, a.type, a.help)
+            for a in sp._actions
+        ])
+        for (name, sp), listed in zip(commands.choices.items(), commands._choices_actions)
+    ]
+    assert declared == DECLARED[tool]
+
+
 def test_exit_code_usage_errors(capsys):
     code, _, err = run(capsys, "moore", "frobnicate", EXAMPLE)
     assert code == 2
@@ -299,6 +392,19 @@ def test_exit_code_domain_error(capsys):
     code, _, err = run(capsys, "subst", "letter", FIB, "-k", "3", "-n", "5")
     assert code == 3
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("main, args, status", [
+    (moore_main, ["iso", EXAMPLE, EXAMPLE_MIN], 1),
+    (moore_main, ["validate", EXAMPLE_MISSING], 2),
+    (subst_main, ["letter", FIB, "-k", "3", "-n", "5"], 3),
+    (subst_main, ["validate", FIB], 0),
+])
+def test_console_scripts_exit_with_the_status(main, args, status, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["the-script", *args])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == status
 
 
 def test_library_import_leaves_out_the_cli():

@@ -167,6 +167,21 @@ def test_parse_letters_reads_tokens_of_longer_letters():
         substitution.parse_letters(s, "x1y")
 
 
+@given(st.lists(st.sampled_from(["a", "b", "xy", "a b", ",", " ", "", "a,", "\t", "é"]),
+                min_size=1, max_size=4, unique=True).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), st.lists(st.sampled_from(alphabet), max_size=6))))
+def test_format_letters_reads_back_or_refuses(drawn):
+    alphabet, word = drawn
+    s = Substitution(alphabet, ((alphabet[0],),) * len(alphabet), ("0",), ("0",) * len(alphabet), 0)
+    try:
+        text = substitution.format_letters(s, word)
+    except DomainError as e:
+        bad = next(a for a in word if "," in a or a.split() != [a])
+        assert str(e) == "letter %r would not read back as one token" % (bad,)
+    else:
+        assert substitution.parse_letters(s, text) == tuple(word)
+
+
 def test_apply_homomorphism(fib, paper_subst):
     rng = random.Random(5)
     for s in (fib, paper_subst):
